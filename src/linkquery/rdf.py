@@ -326,13 +326,6 @@ def term_to_text(term: Term, bnode_label: str | None = None) -> str:
     return lex
 
 
-def term_key(term: Term) -> str:
-    """Stable text key for a term; blank nodes include their scope."""
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}@{term.scope}"
-    return term_to_text(term)
-
-
 def serialize_ntriples(triples: Iterable[Triple]) -> str:
     """Serialize triples, one line each.
 
@@ -367,21 +360,3 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
         lines.append(" ".join(parts) + " .")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def scope_blank_nodes(triples: Iterable[Triple], scope: str) -> list[Triple]:
-    """Rewrite every blank node to carry the given scope."""
-
-    def fix(term: Term) -> Term:
-        if isinstance(term, BlankNode) and term.scope != scope:
-            return BlankNode(term.label, scope)
-        return term
-
-    out: list[Triple] = []
-    for t in triples:
-        s, p, o = t.terms()
-        fs, fo = fix(s), fix(o)
-        if fs is s and fo is o:
-            out.append(t)
-        else:
-            out.append(Triple(fs, p, fo))
-    return out

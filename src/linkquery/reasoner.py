@@ -11,12 +11,13 @@ Two independent mechanisms, composable:
   range) to a fixpoint.  Schema triples are ordinary data: a subclass
   statement can itself be rewritten by a subproperty axiom.
 
-``ReasoningStore`` combines both incrementally for the engine.  Its running
-view is a stale-tolerant superset: when a late merge changes an IRI's
-representative, previously produced forms stay in the view (they are sound
-up to further canonicalization) and the affected raw triples are simply
-re-canonicalized in.  ``finalize`` rebuilds the exact canonical store plus a
-fresh closure; metrics and the authoritative answer pass use that.
+``ReasoningStore`` combines both incrementally for the engine.  Its view is
+exact after every ingest: the canonical forms of all raw triples plus their
+closure.  Raw triples and view forms are indexed by the IRIs they mention,
+so a merge takes out only the forms that mention a retired representative
+and re-canonicalizes only the raw triples that touch a moved IRI.  The
+chainer stays monotone; a chained fact is in the view only while every IRI
+in it is a representative or rule vocabulary.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .rdf import (
     Term,
     Triple,
 )
+
+# The terms the six rules match on or conclude with.
+RHO_VOCABULARY = frozenset({RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF, RDFS_DOMAIN, RDFS_RANGE})
 
 
 class EquivalenceClasses:
@@ -215,6 +219,29 @@ class FinalState:
         return self.data | self.inferred
 
 
+class ViewDelta(list):
+    """The view forms one ``ingest`` added, in order, and what else it changed.
+
+    ``fresh`` holds the raw triples not seen before.  When owl:sameAs merges
+    retire representatives, ``retired`` names them, ``retracted`` holds the
+    view forms that mentioned one (they have left the view) and ``rekeyed``
+    the earlier raw triples whose canonical form changed; their new forms are
+    among the additions.  ``rechained`` says the merge moved rule vocabulary,
+    so every chained fact was retracted, including ones that mention no
+    retired term, and chained again.
+    """
+
+    __slots__ = ("fresh", "retired", "retracted", "rekeyed", "rechained")
+
+    def __init__(self, fresh: list[Triple], retired: list[Iri]) -> None:
+        super().__init__()
+        self.fresh = fresh
+        self.retired = retired
+        self.retracted: list[Triple] = []
+        self.rekeyed: list[Triple] = []
+        self.rechained = False
+
+
 @dataclass
 class ReasoningStore:
     """Incremental canonical+inferred view over a growing raw triple set."""
@@ -225,64 +252,98 @@ class ReasoningStore:
 
     def __post_init__(self) -> None:
         self._raw: set[Triple] = set()
-        self._prior_iris: set[Iri] = set()
+        # Canonical forms of the raw triples; without sameAs, the raw set itself.
+        self._data: set[Triple] = set() if self.use_sameas else self._raw
         self._view: set[Triple] = set()
-        self._view_order: list[Triple] = []
+        # With sameAs only: raw triples and view forms by the IRIs they mention.
+        self._raw_by_iri: dict[Iri, list[Triple]] = {}
+        self._view_by_iri: dict[Iri, list[Triple]] = {}
         self._chainer = _RhoChainer()
-        self._rep_changed = False
 
-    def ingest(self, triples: Iterable[Triple]) -> list[Triple]:
-        """Absorb raw triples; returns view additions (canonical + inferred)."""
-        raw_new = []
+    def ingest(self, triples: Iterable[Triple]) -> ViewDelta:
+        """Absorb raw triples; returns the view additions (canonical + inferred)."""
+        fresh = []
         for t in triples:
             if t not in self._raw:
                 self._raw.add(t)
-                raw_new.append(t)
-        stale = False
-        if self.use_sameas:
-            for t in raw_new:
-                if t.predicate == OWL_SAMEAS and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-                    moved = self.equiv.merge(t.subject, t.object)
-                    if moved & self._prior_iris:
-                        stale = True
-        if stale:
-            # A representative that already occurs in the view changed: the
-            # old forms stay (sound), every raw triple is re-canonicalized so
-            # the current forms are present too, and the engine is told to
-            # rebuild its evaluator state from all_triples().
-            self._rep_changed = True
-            candidates = [canonical_triple(t, self.equiv) for t in self._raw]
-        elif self.use_sameas:
-            candidates = [canonical_triple(t, self.equiv) for t in raw_new]
-        else:
-            candidates = raw_new
-        delta: list[Triple] = []
-        for t in candidates:
-            if t not in self._view:
-                self._view.add(t)
-                self._view_order.append(t)
-                delta.append(t)
-        if self.use_rhodf:
-            for t in self._chainer.add(delta):
-                if t not in self._view:
-                    self._view.add(t)
-                    self._view_order.append(t)
-                    delta.append(t)
-        for t in raw_new:
+                fresh.append(t)
+        if not self.use_sameas:
+            delta = ViewDelta(fresh, [])
+            self._admit(fresh, delta)
+            return delta
+        moved: set[Iri] = set()
+        retired: list[Iri] = []
+        for t in fresh:
+            if t.predicate == OWL_SAMEAS and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
+                gone = self.equiv.merge(t.subject, t.object)
+                if gone:
+                    moved |= gone
+                    retired.append(min(gone, key=lambda i: i.value))  # the loser's old representative
+        delta = ViewDelta(fresh, retired)
+        delta.rechained = self.use_rhodf and not moved.isdisjoint(RHO_VOCABULARY)
+        if moved:
+            for old in retired:
+                for t in self._view_by_iri.pop(old, ()):
+                    if t in self._view:
+                        self._view.remove(t)
+                        self._data.discard(t)
+                        delta.retracted.append(t)
+            if delta.rechained:
+                # Canonicalization no longer fixes the rule vocabulary, so
+                # chained facts do not carry over: chain again from the data.
+                stale = [t for t in self._view if t not in self._data]
+                self._view.difference_update(stale)
+                delta.retracted += stale
+                counts = self._chainer.rule_counts
+                self._chainer = _RhoChainer()
+                self._chainer.rule_counts = counts
+            delta.rekeyed = list(dict.fromkeys(
+                t for iri in sorted(moved, key=lambda i: i.value) for t in self._raw_by_iri.get(iri, ())
+            ))
+        for t in fresh:
             for term in t.terms():
                 if isinstance(term, Iri):
-                    self._prior_iris.add(term)
+                    self._raw_by_iri.setdefault(term, []).append(t)
+        forms = [canonical_triple(t, self.equiv) for t in delta.rekeyed + fresh]
+        self._admit(forms, delta)
         return delta
 
-    def take_rep_changed(self) -> bool:
-        changed, self._rep_changed = self._rep_changed, False
-        return changed
+    def _admit(self, forms: list[Triple], delta: ViewDelta) -> None:
+        added = []
+        for t in forms:
+            self._data.add(t)
+            if t not in self._view:
+                added.append(t)
+                self._show(t, delta)
+        if self.use_rhodf:
+            for t in self._chainer.add(self._data if delta.rechained else added):
+                if t not in self._view and self._keyed(t):
+                    self._show(t, delta)
 
-    def all_triples(self) -> list[Triple]:
-        return list(self._view_order)
+    def _show(self, t: Triple, delta: ViewDelta) -> None:
+        self._view.add(t)
+        delta.append(t)
+        if self.use_sameas:
+            for term in t.terms():
+                if isinstance(term, Iri):
+                    self._view_by_iri.setdefault(term, []).append(t)
 
-    def raw_count(self) -> int:
-        return len(self._raw)
+    def _keyed(self, t: Triple) -> bool:
+        """Whether a chained fact is in the closure of the current data.
+
+        The chainer is monotone and keeps facts derived from forms that later
+        merges re-keyed.  Canonicalization maps every derivation of the six
+        rules onto a derivation as long as it fixes the rule vocabulary, so
+        the chained facts in the closure of the data are exactly those whose
+        IRIs are all representatives or rule vocabulary.
+        """
+        if not self.use_sameas:
+            return True
+        rep = self.equiv.rep
+        return all(
+            not isinstance(term, Iri) or term in RHO_VOCABULARY or rep(term) == term
+            for term in t.terms()
+        )
 
     def canonical(self, term: Term) -> Term:
         return canonical_term(term, self.equiv)
@@ -291,11 +352,10 @@ class ReasoningStore:
         return Counter(self._chainer.rule_counts)
 
     def finalize(self) -> FinalState:
-        """Rebuild the exact store under the final equivalences."""
-        if self.use_sameas:
-            data = frozenset(canonical_triple(t, self.equiv) for t in self._raw)
-        else:
-            data = frozenset(self._raw)
-        inferred = frozenset(rho_df_closure(data)) if self.use_rhodf else frozenset()
-        novel = (data | inferred) - self._raw
-        return FinalState(data=data, inferred=inferred, inferred_count=len(novel))
+        """The exact canonical store and its closure, as they stand."""
+        data = frozenset(self._data)
+        return FinalState(
+            data=data,
+            inferred=frozenset(self._view - data),
+            inferred_count=sum(1 for t in self._view if t not in self._raw),
+        )

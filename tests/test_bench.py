@@ -220,7 +220,7 @@ def test_load_suite_and_run(tmp_path, write_web):
     )
     entries = load_suite(suite)
     assert [e.query_id for e in entries] == ["q01"]
-    records = run_suite(entries, lambda: FixtureResolver(manifest), [Setup.BASE, Setup.SELECT])
+    records = run_suite(entries, FixtureResolver(manifest), [Setup.BASE, Setup.SELECT])
     assert [(r.setup, r.results) for r in records] == [(Setup.BASE, 1), (Setup.SELECT, 1)]
 
 

@@ -1,18 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkquery import engine
 from linkquery.engine import (
     Binding,
     EngineOptions,
     IncrementalEvaluator,
     Setup,
+    canonical_pattern,
     execute,
     plan_order,
     unify_triple,
 )
 from linkquery.fetch import FetchConfig, FixtureResolver
-from linkquery.fixturegen import naive_join
+from linkquery.fixturegen import WebSpec, generate_web, naive_join
 from linkquery.query import BgpQuery, TriplePattern, Variable, binding_text, parse_query
 from linkquery.rdf import Iri, Literal, Triple
 
@@ -283,6 +287,88 @@ def test_sameas_links_merge_and_canonicalize(sameas_web):
     assert reasons[NS + "zalias"] == "sameas"
 
 
+@pytest.mark.parametrize("other", ["m", "0m"])
+def test_query_constant_merged_mid_run(write_web, monkeypatch, other):
+    # The constant 'zent' is owl:sameAs 'aent', which sorts first, so the
+    # query constant itself moves mid-run.  With 'm' the plan order flips
+    # (the 'aent' pattern now comes first); with '0m' only its second level
+    # changes.
+    owl = "<http://www.w3.org/2002/07/owl#sameAs>"
+    manifest = write_web(
+        {
+            NS + "zent": nt((iri("zent"), iri("p"), iri("o1")), (iri("zent"), owl, iri("aent"))),
+            NS + "aent": nt((iri("aent"), iri("p"), iri("o2")), (iri("aent"), iri("p"), iri("o3"))),
+            NS + other: nt((iri(other), iri("q"), iri("o1")), (iri(other), iri("q"), iri("o2"))),
+        }
+    )
+    query = q(f"SELECT ?o WHERE {{ {iri('zent')} {iri('p')} ?o . {iri(other)} {iri('q')} ?o . }}")
+    built = []
+
+    class CountingEvaluator(IncrementalEvaluator):
+        def __init__(self, patterns):
+            built.append(patterns)
+            super().__init__(patterns)
+
+    monkeypatch.setattr(engine, "IncrementalEvaluator", CountingEvaluator)
+    for setup in (Setup.SAMEAS, Setup.COMBINED):
+        built.clear()
+        run = execute(query, setup, FixtureResolver(manifest))
+        assert run.equiv.rep(I("zent")) == I("aent")
+        assert run.answer_keys() == {binding_text({"o": I("o1")}), binding_text({"o": I("o2")})}
+        assert len(built) == 1, "the merge repairs the running evaluator"
+
+
+@pytest.mark.parametrize(
+    "schema, vocab",
+    [
+        ((iri("C"), "<http://www.w3.org/2000/01/rdf-schema#subClassOf>", iri("D")), "subClassOf"),
+        ((iri("p"), "<http://www.w3.org/2000/01/rdf-schema#domain>", iri("D")), "domain"),
+    ],
+    ids=["subClassOf", "domain"],
+)
+def test_merge_moving_rule_vocabulary_drops_what_it_derived(write_web, schema, vocab):
+    # 'x' is typed D only through the schema triple.  Its own document says
+    # the schema predicate is owl:sameAs an IRI that sorts first, so the
+    # predicate stops being rule vocabulary and 'x a D' is no longer derived.
+    owl = "<http://www.w3.org/2002/07/owl#sameAs>"
+    rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+    manifest = write_web(
+        {
+            NS + "D": nt((iri("x"), rdf_type, iri("C")), (iri("x"), iri("p"), iri("v")), schema),
+            NS + "x": nt((iri(vocab), owl, schema[1])),
+        }
+    )
+    run = execute(q(f"SELECT ?x WHERE {{ ?x {rdf_type} {iri('D')} . }}"), Setup.COMBINED, FixtureResolver(manifest))
+    assert NS + "x" in {e.iri.value for e in run.events}, "x was bound before the merge"
+    assert run.answer_keys() == frozenset() == _closing_pass_keys(run)
+
+
+def test_speculative_frontier_follows_a_moved_query_constant(write_web):
+    # 'aent' is fetched before the slow 'later' document says 'zent' is
+    # 'aent'; only then does '<aent> p o2' unify with the second pattern.
+    # ?o=o2 joins nothing, so only the speculative scan can request o2.
+    owl = "<http://www.w3.org/2002/07/owl#sameAs>"
+    manifest = write_web(
+        {
+            NS + "0m": nt((iri("0m"), iri("q"), iri("o1"))),
+            NS + "zent": nt(
+                (iri("zent"), iri("p"), iri("o1")),
+                (iri("zent"), iri("p"), iri("aent")),
+                (iri("zent"), iri("p"), iri("later")),
+            ),
+            NS + "aent": nt((iri("aent"), iri("p"), iri("o2"))),
+            NS + "later": "!DELAY 50 THEN FILE later.nt",
+            NS + "o2": nt((iri("o2"), iri("r"), iri("v"))),
+        }
+    )
+    (manifest.parent / "later.nt").write_text(nt((iri("zent"), owl, iri("aent"))), encoding="utf-8")
+    query = q(f"SELECT ?o WHERE {{ {iri('0m')} {iri('q')} ?o . {iri('zent')} {iri('p')} ?o . }}")
+    run = execute(query, Setup.SAMEAS, FixtureResolver(manifest))
+    reasons = {e.iri.value: e.reason for e in run.events}
+    assert reasons[NS + "o2"] == "match"
+    assert run.answer_keys() == {binding_text({"o": I("o1")})}
+
+
 def test_sameas_with_alias_as_representative(write_web):
     # '0alias' sorts before 'e': the merge flips the representative mid-run
     owl = "<http://www.w3.org/2002/07/owl#sameAs>"
@@ -423,3 +509,59 @@ def test_parallelism_does_not_change_countable_metrics(chain_web):
         for r in runs
     }
     assert len(snap) == 1
+
+
+# -- order independence under shuffled fetch completion ---------------------
+
+
+@pytest.fixture(scope="module")
+def small_webs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("order-webs")
+    return [
+        generate_web(
+            WebSpec(seed=seed, n_entities=6, n_hub_entities=2, n_alias_entities=2, family_depth=1, alias_style=style),
+            root / f"w{seed}",
+        )
+        for seed, style in ((3, "suffix"), (4, "prefixmin"))
+    ]
+
+
+def _delayed(web, seed: int) -> FixtureResolver:
+    """The web's resolver with a seeded 0-3 ms DELAY before every response."""
+    rng = random.Random(seed)
+    lines = [
+        f"{iri}\tDELAY {rng.randrange(4)} THEN {directive}"
+        for iri, directive in (
+            line.split("\t", 1) for line in web.manifest_path.read_text().splitlines() if line.strip()
+        )
+    ]
+    path = web.out_dir / f"manifest-delay{seed}.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return FixtureResolver(path)
+
+
+def _closing_pass_keys(run) -> frozenset[str]:
+    """Answers of a fresh evaluator fed the final store."""
+    evaluator = IncrementalEvaluator([canonical_pattern(p, run.equiv) for p in run.query.patterns])
+    solutions = evaluator.add(run.final.triples).solutions
+    return frozenset(binding_text({v: sol[v] for v in run.query.projected}) for sol in solutions)
+
+
+@settings(max_examples=30)
+@given(
+    pick=st.integers(0, 10**6),
+    setup=st.sampled_from([Setup.SAMEAS, Setup.COMBINED]),
+    orders=st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True),
+)
+def test_answers_do_not_depend_on_fetch_completion_order(small_webs, pick, setup, orders):
+    web = small_webs[pick % len(small_webs)]
+    planned = web.queries[pick // len(small_webs) % len(web.queries)]
+    runs = [execute(planned.query, setup, _delayed(web, seed)) for seed in orders]
+    for run in runs:
+        assert run.answer_keys() == _closing_pass_keys(run)
+    assert runs[0].answer_keys() == runs[1].answer_keys()
+    counts = {
+        (r.metrics.results, r.metrics.http_lookups, r.metrics.retrieved_triples, r.metrics.inferred_triples)
+        for r in runs
+    }
+    assert len(counts) == 1

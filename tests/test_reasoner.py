@@ -17,9 +17,9 @@ from linkquery.rdf import (
     Triple,
 )
 from linkquery.reasoner import (
+    RHO_VOCABULARY,
     EquivalenceClasses,
     ReasoningStore,
-    canonical_triple,
     rho_df_closure,
 )
 
@@ -225,14 +225,64 @@ def test_store_canonicalizes_view_and_counts_rewrites():
     assert final.inferred_count >= 1
 
 
-def test_store_flags_stale_view_when_prior_triples_move():
-    store = ReasoningStore(use_sameas=True)
-    store.ingest([Triple(X[1], P[0], X[2])])
-    assert store.take_rep_changed() is False
-    store.ingest([Triple(X[0], OWL_SAMEAS, X[1])])
-    assert store.take_rep_changed() is True
-    assert store.take_rep_changed() is False, "flag is consumed on read"
-    assert canonical_triple(Triple(X[1], P[0], X[2]), store.equiv) in store.all_triples()
+@pytest.mark.parametrize("use_rhodf", [False, True])
+def test_late_merge_rekeys_the_view(use_rhodf):
+    store = ReasoningStore(use_sameas=True, use_rhodf=use_rhodf)
+    old, new = X[1], X[0]  # X0 sorts first, so the merge retires X1
+    store.ingest([Triple(old, P[0], X[2]), Triple(P[0], RDFS_DOMAIN, C[0])])
+    delta = store.ingest([Triple(new, OWL_SAMEAS, old)])
+    assert delta.retired == [old]
+    assert Triple(old, P[0], X[2]) in delta.retracted
+    assert Triple(new, P[0], X[2]) in delta
+    view = store.finalize().triples
+    assert Triple(new, P[0], X[2]) in view
+    assert all(old not in t.terms() for t in view)
+    if use_rhodf:
+        assert Triple(old, RDF_TYPE, C[0]) in delta.retracted
+        assert Triple(new, RDF_TYPE, C[0]) in delta
+        assert Triple(new, RDF_TYPE, C[0]) in store.finalize().inferred
+
+
+# Aliases sorting before and after the rule vocabulary, so merges with them
+# move a vocabulary term or keep it as the representative.
+ALIASES = [Iri("http://a.example/v"), Iri("http://zz.example/v")]
+VOCAB = sorted(RHO_VOCABULARY, key=lambda i: i.value)
+
+
+def _batch_view(raw: set[Triple]) -> tuple[frozenset[Triple], frozenset[Triple], int]:
+    """Data, inferred and Inferred count recomputed from scratch."""
+    rep = sameas_components(
+        (t.subject, t.object)
+        for t in raw
+        if t.predicate == OWL_SAMEAS and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
+    )
+
+    def canon(term):
+        return rep.get(term, term) if isinstance(term, Iri) else term
+
+    data = frozenset(Triple(canon(t.subject), canon(t.predicate), canon(t.object)) for t in raw)
+    inferred = frozenset(naive_rho_closure(data))
+    return data, inferred, len((data | inferred) - raw)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_store_view_is_exact_after_every_ingest(seed):
+    rng = random.Random(seed)
+    nodes = X + C + P + ALIASES + (VOCAB if seed % 4 == 0 else [])
+    data = sorted(_random_instance(rng), key=repr)
+    data += [Triple(rng.choice(nodes), OWL_SAMEAS, rng.choice(nodes)) for _ in range(rng.randrange(2, 8))]
+    if seed % 4 == 0:
+        data.append(Triple(X[0], rng.choice(ALIASES), C[0]))
+    rng.shuffle(data)
+    store = ReasoningStore(use_sameas=True, use_rhodf=True)
+    raw: set[Triple] = set()
+    while data:
+        cut = rng.randrange(1, 5)
+        batch, data = data[:cut], data[cut:]
+        store.ingest(batch)
+        raw |= set(batch)
+        final = store.finalize()
+        assert (final.data, final.inferred, final.inferred_count) == _batch_view(raw)
 
 
 def test_finalize_keeps_inferred_disjoint_from_data():
