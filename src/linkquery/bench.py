@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from statistics import mean, pstdev
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .engine import ALL_SETUPS, EngineOptions, QueryRun, Setup, execute
-from .fetch import Clock, FetchConfig, Resolver
+from .fetch import FetchConfig, Resolver
 from .query import BgpQuery, parse_query
 
 log = logging.getLogger(__name__)
@@ -97,16 +97,12 @@ def run_suite(
     *,
     config: FetchConfig | None = None,
     options: EngineOptions | None = None,
-    clock: Clock | None = None,
-    on_run: Callable[[SuiteEntry, QueryRun], None] | None = None,
 ) -> list[RunRecord]:
     records: list[RunRecord] = []
     for entry in entries:
         for setup in setups:
-            run = execute(entry.query, setup, resolver, config=config, options=options, clock=clock)
+            run = execute(entry.query, setup, resolver, config=config, options=options)
             records.append(RunRecord.from_run(entry, run))
-            if on_run is not None:
-                on_run(entry, run)
             log.debug(
                 "%s/%s: results=%d http=%d retrieved=%d inferred=%d",
                 entry.query_id,

@@ -15,18 +15,17 @@ success, 2 for bad input, 3 for environment failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
 import sys
 from typing import Sequence, TextIO
 
-from .bench import EMITTERS, load_suite, run_suite, write_per_query_csv
+from .bench import EMITTERS, SuiteEntry, aggregate, load_suite, run_suite, write_per_query_csv
 from .engine import ALL_SETUPS, EngineOptions, QueryRun, Setup, execute
 from .fetch import FetchConfig, RecordResolver, TransportError, parse_resolver_spec
 from .fixturegen import WebSpec, generate_web
-from .query import QueryError, parse_query
+from .query import BgpQuery, QueryError, parse_query
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +69,7 @@ def _fetch_config(args: argparse.Namespace) -> FetchConfig:
     }
     kwargs = {k: v for k, v in overrides.items() if v is not None}
     try:
-        return dataclasses.replace(FetchConfig(), **kwargs) if kwargs else FetchConfig()
+        return FetchConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -89,6 +88,20 @@ def _resolver(args: argparse.Namespace):
         return parse_resolver_spec(args.resolver)
     except (ValueError, OSError) as exc:
         raise UsageError(f"bad resolver spec {args.resolver!r}: {exc}") from exc
+
+
+def _query(args: argparse.Namespace) -> BgpQuery:
+    try:
+        return parse_query(args.query, query_id=args.query_id)
+    except QueryError as exc:
+        raise UsageError(f"bad query: {exc}") from exc
+
+
+def _suite(args: argparse.Namespace) -> list[SuiteEntry]:
+    try:
+        return load_suite(args.suite)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _setups(text: str) -> list[Setup]:
@@ -138,10 +151,7 @@ def _print_run(run: QueryRun, out: TextIO, as_json: bool) -> None:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     resolver = _resolver(args)
-    try:
-        query = parse_query(args.query, query_id=args.query_id)
-    except QueryError as exc:
-        raise UsageError(f"bad query: {exc}") from exc
+    query = _query(args)
     setup = _setups(args.setup)
     if len(setup) != 1:
         raise UsageError("query takes exactly one setup")
@@ -152,19 +162,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     resolver = _resolver(args)
-    try:
-        entries = load_suite(args.suite)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     records = run_suite(
-        entries,
+        _suite(args),
         resolver,
         _setups(args.setups),
         config=_fetch_config(args),
         options=_engine_options(args),
     )
-    from .bench import aggregate
-
     rows = aggregate(records)
     emit = EMITTERS[args.format]
     if args.out:
@@ -204,19 +208,12 @@ def _cmd_record(args: argparse.Namespace) -> int:
     setups = _setups(args.setups)
     with RecordResolver(inner, args.archive) as recorder:
         if args.query:
-            try:
-                query = parse_query(args.query, query_id=args.query_id)
-            except QueryError as exc:
-                raise UsageError(f"bad query: {exc}") from exc
+            query = _query(args)
             for setup in setups:
                 run = execute(query, setup, recorder, config=config, options=options)
                 _print_run(run, sys.stdout, as_json=False)
         else:
-            try:
-                entries = load_suite(args.suite)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            run_suite(entries, recorder, setups, config=config, options=options)
+            run_suite(_suite(args), recorder, setups, config=config, options=options)
         print(f"# recorded {recorder.records_written} responses to {args.archive}")
     return 0
 

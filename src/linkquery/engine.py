@@ -44,7 +44,6 @@ from enum import Enum
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .fetch import (
-    Clock,
     DerefResult,
     DerefStatus,
     DereferenceManager,
@@ -96,7 +95,6 @@ class EngineOptions:
     """Switches for deliberate deviations from the default policies."""
 
     deref_predicates: bool = False
-    base_follows_all_triple_iris: bool = False
     extensions_on_select: bool = False
 
     def carrier_is_speculative(self, setup: Setup) -> bool:
@@ -309,9 +307,6 @@ class Binding:
                 return term
         return None
 
-    def as_dict(self) -> dict[str, Term]:
-        return dict(self.pairs)
-
     def as_dict_text(self) -> dict[str, str]:
         return {var: term_to_text(term) for var, term in self.pairs}
 
@@ -366,12 +361,11 @@ def execute(
     *,
     config: FetchConfig | None = None,
     options: EngineOptions | None = None,
-    clock: Clock | None = None,
 ) -> QueryRun:
     setup = Setup(setup)
     opts = options or EngineOptions()
     cfg = config or FetchConfig()
-    clk: Clock = clock or RealClock()
+    clk = RealClock()
     store = ReasoningStore(use_sameas=uses_sameas(setup), use_rhodf=uses_rhodf(setup))
     manager = DereferenceManager(resolver, cfg, clk)
     speculative = opts.carrier_is_speculative(setup)
@@ -427,9 +421,7 @@ def execute(
     def scan_speculative(triples: Iterable[Triple]) -> None:
         for t in triples:
             ct = canonical_triple(t, store.equiv)
-            if opts.base_follows_all_triple_iris or any(
-                unify_triple(p, ct) is not None for p in canon_pats
-            ):
+            if any(unify_triple(p, ct) is not None for p in canon_pats):
                 if isinstance(t.subject, Iri):
                     want(t.subject, "match")
                 if isinstance(t.object, Iri):

@@ -1,9 +1,13 @@
-"""Document retrieval: resolvers, redirects, budgets, caching, politeness.
+"""Document retrieval: resolvers, redirects, budgets, politeness.
 
 A resolver performs exactly one HTTP-ish hop for an IRI and never follows
 redirects itself; ``DereferenceManager`` drives the hop loop and owns every
-cross-cutting policy (lookup budget, wall-clock deadline, per-hop cache,
-per-host politeness).  Resolvers come in four flavours:
+cross-cutting policy (lookup budget, wall-clock deadline, per-host
+politeness).  Each hop IRI is looked up exactly once per run: the first
+caller performs the hop, and every other caller, concurrent or later,
+shares its outcome, or its exception if the resolver raised.  ``timeout_ms``
+bounds only the request itself, never how long a caller waits for a hop
+another thread is performing.  Resolvers come in four flavours:
 
 * ``FixtureResolver`` serves a manifest-described web from local files,
 * ``ReplayResolver`` serves a previously recorded archive,
@@ -22,6 +26,7 @@ import logging
 import struct
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -136,7 +141,6 @@ class FixtureResolver:
         path = Path(manifest)
         if path.is_dir():
             path = path / "manifest.tsv"
-        self.manifest_path = path
         self._clock: Clock = clock or RealClock()
         self._actions: dict[str, _Action] = {}
         base = path.parent
@@ -304,12 +308,12 @@ class LiveResolver:
         return RawResponse(resp.status_code, body=resp.content, location=resp.headers.get("Location"))
 
 
-def parse_resolver_spec(spec: str, clock: Clock | None = None) -> Resolver:
+def parse_resolver_spec(spec: str) -> Resolver:
     """Build a resolver from 'live', 'fixture:PATH', or 'replay:PATH'."""
     if spec == "live":
         return LiveResolver()
     if spec.startswith("fixture:"):
-        return FixtureResolver(spec[len("fixture:") :], clock=clock)
+        return FixtureResolver(spec[len("fixture:") :])
     if spec.startswith("replay:"):
         return ReplayResolver(spec[len("replay:") :])
     raise ValueError(f"unknown resolver spec {spec!r} (want live, fixture:PATH, or replay:PATH)")
@@ -356,16 +360,17 @@ class DerefResult:
     detail: str = ""
 
 
-_TIMEOUT = object()  # cached hop outcome for transport failures
+_TIMEOUT = object()  # hop outcome for transport failures
 
 
 class DereferenceManager:
     """Turns root IRIs into parsed documents under global fetch policies.
 
-    Thread-safe.  Each hop IRI is looked up at most once per run in the
-    common case: the first thread to want a hop claims it, later threads
-    wait on the claim and then read the cache.  A waiter that outlives the
-    request timeout fetches on its own rather than risk waiting forever.
+    Thread-safe.  Each hop IRI is looked up exactly once per run: the first
+    caller reserves budget for it and performs it, and every other caller
+    waits on that hop's future and gets the same response, timeout, or
+    exception.  Redirecting roots that share a target therefore pay for the
+    target once.
     """
 
     def __init__(self, resolver: Resolver, config: FetchConfig | None = None, clock: Clock | None = None) -> None:
@@ -375,8 +380,7 @@ class DereferenceManager:
         self._start = self._clock.now()
         self._lock = threading.Lock()
         self._lookups_used = 0
-        self._hop_cache: dict[str, object] = {}
-        self._hop_claims: dict[str, threading.Event] = {}
+        self._hops: dict[str, Future] = {}
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
 
@@ -384,10 +388,6 @@ class DereferenceManager:
     def lookups_used(self) -> int:
         with self._lock:
             return self._lookups_used
-
-    @property
-    def config(self) -> FetchConfig:
-        return self._cfg
 
     def dereference(self, root: Iri) -> DerefResult:
         t_start = self._clock.now()
@@ -432,12 +432,7 @@ class DereferenceManager:
                     http_status=resp.status,
                     detail=f"{len(errors)} parse errors, no triples",
                 )
-            doc = Document(
-                iri=root.value,
-                triples=tuple(triples),
-                size_bytes=len(resp.body),
-                fetched_at=self._clock.now(),
-            )
+            doc = Document(iri=root.value, triples=tuple(triples))
             return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=Iri(current))
 
     # A hop returns a RawResponse, the _TIMEOUT sentinel, or None when the
@@ -445,34 +440,20 @@ class DereferenceManager:
     # so the number of resolver calls can never exceed max_lookups.
     def _hop(self, iri: str):
         with self._lock:
-            if iri in self._hop_cache:
-                return self._hop_cache[iri]
-            claim = self._hop_claims.get(iri)
-            if claim is None:
+            hop = self._hops.get(iri)
+            first = hop is None
+            if first:
                 if self._lookups_used >= self._cfg.max_lookups:
                     return None
                 self._lookups_used += 1
-                self._hop_claims[iri] = threading.Event()
-        if claim is not None:
-            claim.wait(self._cfg.timeout_ms / 1000.0)
-            with self._lock:
-                if iri in self._hop_cache:
-                    return self._hop_cache[iri]
-                # Claimant is stuck or died; pay for a duplicate lookup.
-                if self._lookups_used >= self._cfg.max_lookups:
-                    return None
-                self._lookups_used += 1
-            outcome = self._perform(iri)
-            with self._lock:
-                self._hop_cache.setdefault(iri, outcome)
-                return self._hop_cache[iri]
-        outcome = self._perform(iri)
-        with self._lock:
-            self._hop_cache[iri] = outcome
-            claim = self._hop_claims.pop(iri, None)
-        if claim is not None:
-            claim.set()
-        return outcome
+                hop = self._hops[iri] = Future()
+        if first:
+            try:
+                hop.set_result(self._perform(iri))
+            except BaseException as e:
+                hop.set_exception(e)
+                raise
+        return hop.result()
 
     def _perform(self, iri: str):
         timeout_s = self._cfg.timeout_ms / 1000.0

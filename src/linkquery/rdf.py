@@ -91,12 +91,10 @@ class Triple:
 
 @dataclass(frozen=True, slots=True)
 class Document:
-    """A fetched document: its IRI, parsed triples, and fetch bookkeeping."""
+    """A fetched document: the IRI it was requested under and its triples."""
 
     iri: str
     triples: tuple[Triple, ...]
-    size_bytes: int
-    fetched_at: float
 
 
 @dataclass(frozen=True, slots=True)

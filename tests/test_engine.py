@@ -215,10 +215,34 @@ def test_select_only_follows_join_consistent_bindings(chain_web):
     assert run.metrics.http_lookups == 3  # s, a, b
 
 
-def test_base_option_follows_every_iri(chain_web):
-    opts = EngineOptions(base_follows_all_triple_iris=True)
-    base = execute(q(CHAIN_Q), Setup.BASE, FixtureResolver(chain_web), options=opts)
-    assert base.metrics.http_lookups == 5  # nothing extra here: all triples unify anyway
+def test_redirects_sharing_a_target_look_it_up_once(write_web):
+    # a and b both redirect to t, which is also bound, and so requested, itself
+    manifest = write_web(
+        {
+            NS + "s": nt((iri("s"), iri("p1"), iri("a")), (iri("s"), iri("p1"), iri("b")),
+                         (iri("s"), iri("p1"), iri("t"))),
+            NS + "a": f"!REDIRECT {NS}t",
+            NS + "b": f"!REDIRECT {NS}t",
+            NS + "t": "!DELAY 5 THEN FILE t.nt",
+        }
+    )
+    (manifest.parent / "t.nt").write_text(nt((iri("t"), iri("p2"), '"v"')), encoding="utf-8")
+    fixture = FixtureResolver(manifest)
+
+    class Counting:
+        is_local = True
+
+        def resolve(self, hop, timeout_s):
+            calls.append(hop)
+            return fixture.resolve(hop, timeout_s)
+
+    seen = set()
+    for _ in range(10):
+        calls = []
+        run = execute(q(CHAIN_Q), Setup.BASE, Counting(), config=FetchConfig(max_parallel=4))
+        assert sorted(calls) == sorted(NS + t for t in "sabt")  # t once, not once per root
+        seen.add((run.answer_keys(), run.metrics.http_lookups))
+    assert seen == {(frozenset({binding_text({"x": I("t"), "y": Literal("v")})}), 4)}
 
 
 def test_deref_predicates_option(chain_web):

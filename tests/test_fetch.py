@@ -1,5 +1,7 @@
 import io
+import sys
 import threading
+import time
 
 import pytest
 
@@ -192,6 +194,100 @@ def test_hop_cache_deduplicates_lookups(write_web):
     m.dereference(Iri(C))
     # B and C each cost one hop; their shared target was already cached
     assert m.lookups_used == 3
+
+
+class Gate:
+    """Resolver that holds each request until released, then answers."""
+
+    is_local = True
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def resolve(self, iri, timeout_s):
+        self.calls += 1
+        self.entered.set()
+        self.release.wait(5)
+        return self.answer()
+
+
+def race(m, gate, iri, settle_s):
+    """Dereference ``iri`` from two threads, the second while the first is in the resolver."""
+    outcomes = []
+
+    def work():
+        try:
+            outcomes.append(m.dereference(Iri(iri)))
+        except Exception as e:
+            outcomes.append(e)
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(2)]
+    threads[0].start()
+    assert gate.entered.wait(5)
+    threads[1].start()
+    time.sleep(settle_s)
+    gate.release.set()
+    for t in threads:
+        t.join(1.0)
+    assert not any(t.is_alive() for t in threads)
+    return outcomes
+
+
+def test_concurrent_hop_outlasting_the_timeout_is_looked_up_once():
+    gate = Gate(lambda: RawResponse(200, body=NT.encode()))
+    m = manager(gate, timeout_ms=50)
+    outcomes = race(m, gate, A, settle_s=0.2)
+    assert [o.status for o in outcomes] == [DerefStatus.TIMED_OUT] * 2
+    assert m.lookups_used == 1
+    assert gate.calls == 1
+
+
+def test_resolver_crash_reaches_every_waiter_at_once():
+    def crash():
+        raise RuntimeError("resolver bug")
+
+    gate = Gate(crash)
+    m = manager(gate, timeout_ms=10_000)
+    t0 = time.monotonic()
+    outcomes = race(m, gate, A, settle_s=0.05)
+    assert time.monotonic() - t0 < 1.0
+    assert len(outcomes) == 2 and all(isinstance(o, RuntimeError) for o in outcomes)
+    assert gate.calls == 1
+
+
+def test_each_hop_is_looked_up_once_under_thread_pressure(write_web):
+    docs = {f"http://w.example/d{i}": NT for i in range(8)}
+    fixture = FixtureResolver(write_web(docs))
+    calls = []
+    lock = threading.Lock()
+
+    class Counting:
+        is_local = True
+
+        def resolve(self, iri, timeout_s):
+            with lock:
+                calls.append(iri)
+            return fixture.resolve(iri, timeout_s)
+
+    m = manager(Counting())
+    threads = [
+        threading.Thread(target=lambda: [m.dereference(Iri(i)) for i in docs], daemon=True) for _ in range(16)
+    ]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == sorted(docs)
+    assert m.lookups_used == len(docs)
 
 
 def test_politeness_spaces_requests_per_host():
