@@ -21,17 +21,18 @@ new is reachable.  Six setups:
 Query relevance means: a seed constant, a value bound by the evaluator, or
 anything owl:sameAs-equivalent to one of those.
 
-The join state is exact at every step.  When an owl:sameAs merge retires a
-representative, the store takes the view forms that mention it out and
-re-canonicalizes only the raw triples that touch a moved IRI; the evaluator
-drops the matches and partials that bind the retired IRI.  When a query
-constant itself moved, or the merge moved rule vocabulary so that the store
-chained again, the evaluator starts over from the triples it holds.  The
-running evaluator's solutions are therefore the answers, and the store's
-live view gives Inferred.  For a fixed fixture web and an untruncated run,
-the reachable-document closure is order-independent, which makes Results,
-HTTP, Retrieved, and Inferred deterministic even though fetches run in
-parallel.
+The join state is exact at every step and keys each match by the view triple
+that made it; the speculative frontier reads those matches.  When an
+owl:sameAs merge retires a representative, the store takes the view forms
+that mention it out and re-canonicalizes only the raw triples that touch a
+moved IRI; the evaluator drops those forms' matches and the partials that
+bind the retired IRI.  When a query constant itself moved, or the merge moved
+rule vocabulary so that the store chained again, the evaluator starts over
+from the store's live view.  The running evaluator's solutions are therefore
+the answers, and the live view gives Inferred.  For a fixed fixture web and
+an untruncated run, the reachable-document closure is order-independent,
+which makes Results, HTTP, Retrieved, and Inferred deterministic even though
+fetches run in parallel.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -179,25 +180,26 @@ class EvalDelta:
 class IncrementalEvaluator:
     """Semi-naive evaluation of a BGP over a changing triple set.
 
-    Partial solutions are prefixes of a plan order.  ``add`` only ever adds
+    Partial solutions are prefixes of a plan order.  Matches are keyed by the
+    triple that made them (a pattern and a full binding fix it); ``_holders``
+    indexes only the partials, by the terms they bind.  ``add`` only ever adds
     matches, partials and solutions; ``retract`` and ``replan`` repair them
     when an owl:sameAs merge re-keys triples or the patterns themselves.
     """
 
     def __init__(self, patterns: Sequence[TriplePattern]) -> None:
-        self._triples: dict[Triple, None] = {}
         self._seen_values: set[tuple[Term, str]] = set()
-        # Each bound term -> the (matches or partials dict, key) entries binding
-        # it.  ``retract`` pops only the retired term's list, so an entry stays
-        # listed under the entry's other terms until ``replan`` clears them all.
+        # Each bound term -> the (level, key) partials binding it.  ``retract``
+        # pops only the retired term's list, so a partial stays listed under
+        # its other terms until ``replan`` clears them all.
         self._holders: dict[Term, list[tuple[dict, tuple]]] = {}
         self._plan(plan_order(patterns))
 
     def _plan(self, plan: tuple[TriplePattern, ...]) -> None:
         self.plan = plan
         k = len(plan)
-        # Matches and partials per level, by binding key.
-        self._matches: list[dict[tuple, dict]] = [{} for _ in range(k)]
+        # Matches per level by the triple that made them; partials by binding key.
+        self._matches: list[dict[Triple, dict]] = [{} for _ in range(k)]
         self._levels: list[dict[tuple, dict]] = [{} for _ in range(k)]
         # After matching plan[:L+1], each variable's position kinds so far.
         self._kinds: list[dict[str, frozenset[str]]] = []
@@ -213,18 +215,14 @@ class IncrementalEvaluator:
         new_matches: list[list[dict]] = [[] for _ in range(k)]
         matched: list[Triple] = []
         for t in triples:
-            if t in self._triples:
-                continue
-            self._triples[t] = None
             hit = False
             for i, pat in enumerate(self.plan):
-                b = unify_triple(pat, t)
-                if b is None:
+                if t in self._matches[i]:
                     continue
-                hit = True
-                key = _bkey(b)
-                if key not in self._matches[i]:
-                    self._hold(self._matches[i], key, b)
+                b = unify_triple(pat, t)
+                if b is not None:
+                    hit = True
+                    self._matches[i][t] = b
                     new_matches[i].append(b)
             if hit:
                 matched.append(t)
@@ -244,9 +242,11 @@ class IncrementalEvaluator:
         values: list[tuple[Term, str]] = []
         for level, batch in enumerate(deltas):
             kinds = self._kinds[level]
+            partials = self._levels[level]
             for key, b in batch.items():
-                self._hold(self._levels[level], key, b)
+                partials[key] = b
                 for var, val in b.items():
+                    self._holders.setdefault(val, []).append((partials, key))
                     for kind in kinds.get(var, ()):
                         pair = (val, kind)
                         if pair not in self._seen_values:
@@ -258,33 +258,30 @@ class IncrementalEvaluator:
             matched=matched,
         )
 
-    def retract(self, triples: Iterable[Triple], retired: Iterable[Term]) -> None:
-        """Forget ``triples`` and every match and partial binding a retired term.
+    def matches(self, t: Triple) -> bool:
+        """Whether the triple, as held now, matches some pattern."""
+        return any(t in m for m in self._matches)
 
-        A match fixes its triple, so when the triples are the view forms that
-        mention a retired term, the matches dropped are exactly those built
-        from them, except at a plan level whose query constant moved.  That
-        case, and chained facts dropped without a retired term, need
-        ``replan``.
+    def retract(self, triples: Iterable[Triple], retired: Iterable[Term]) -> None:
+        """Forget the matches of ``triples`` and every partial binding a retired term.
+
+        When the triples are the view forms that mention a retired term, the
+        partials dropped are exactly those built from their matches, except
+        at a plan level whose query constant moved.  That case, and chained
+        facts dropped without a retired term, need ``replan``.
         """
         for t in triples:
-            self._triples.pop(t, None)
+            for m in self._matches:
+                m.pop(t, None)
         for term in retired:
-            for keyed, key in self._holders.pop(term, ()):
-                keyed.pop(key, None)
+            for partials, key in self._holders.pop(term, ()):
+                partials.pop(key, None)
 
-    def replan(self, patterns: Sequence[TriplePattern]) -> EvalDelta:
-        """Start over on ``patterns`` from the triples held now."""
-        held = list(self._triples)
-        self._triples.clear()
+    def replan(self, patterns: Sequence[TriplePattern], triples: Iterable[Triple]) -> EvalDelta:
+        """Start over on ``patterns`` from ``triples``, the live view."""
         self._holders.clear()
         self._plan(plan_order(patterns))
-        return self.add(held)
-
-    def _hold(self, keyed: dict[tuple, dict], key: tuple, b: dict[str, Term]) -> None:
-        keyed[key] = b
-        for term in b.values():
-            self._holders.setdefault(term, []).append((keyed, key))
+        return self.add(triples)
 
     def solutions(self) -> list[dict[str, Term]]:
         """Every full binding over the triples held now."""
@@ -381,7 +378,6 @@ def execute(
     raw_order: list[Triple] = []
     relevant: set[Term] = set()                # canonical forms of query-relevant IRIs
     seealso_waiting: dict[Term, list[Iri]] = {}  # targets by canonical subject, until relevant
-    emitted: set[tuple] = set()
     retrieved = 0
     truncated = False
     first_s: float | None = None
@@ -420,8 +416,7 @@ def execute(
 
     def scan_speculative(triples: Iterable[Triple]) -> None:
         for t in triples:
-            ct = canonical_triple(t, store.equiv)
-            if any(unify_triple(p, ct) is not None for p in canon_pats):
+            if evaluator.matches(canonical_triple(t, store.equiv)):
                 if isinstance(t.subject, Iri):
                     want(t.subject, "match")
                 if isinstance(t.object, Iri):
@@ -442,12 +437,8 @@ def execute(
                 want(mt.predicate, "vocab")
                 if mt.predicate == RDF_TYPE and isinstance(mt.object, Iri):
                     want(mt.object, "vocab")
-        for sol in delta.solutions:
-            key = tuple((v, sol[v]) for v in proj_vars)
-            if key not in emitted:
-                emitted.add(key)
-                if first_s is None:
-                    first_s = clk.now() - t0
+        if delta.solutions and first_s is None:
+            first_s = clk.now() - t0
 
     def process_doc(doc) -> None:
         nonlocal retrieved
@@ -455,6 +446,7 @@ def execute(
         delta = store.ingest(doc.triples)
         raw_order.extend(delta.fresh)
         rescan = delta.fresh
+        evals = []
         if delta.retired:
             # A merge re-keyed earlier triples: repair the join state in place.
             evaluator.retract(delta.retracted, delta.retired)
@@ -462,13 +454,16 @@ def execute(
             pats = [canonical_pattern(p, store.equiv) for p in query.patterns]
             if pats != canon_pats or delta.rechained:
                 # A query constant moved, or the store dropped chained facts
-                # that mention no retired term: rebuild from the held triples.
+                # that mention no retired term: rebuild from the live view.
                 canon_pats[:] = pats
                 rescan = raw_order
-                consume_eval(evaluator.replan(canon_pats))
+                evals.append(evaluator.replan(canon_pats, store.view()))
+        evals.append(evaluator.add(delta))
+        # The scan reads the matches just added; its wants precede the deltas'.
         if speculative:
             scan_speculative(rescan)
-        consume_eval(evaluator.add(delta))
+        for ev in evals:
+            consume_eval(ev)
         if follows_seealso(setup):
             for t in delta.fresh:
                 if t.predicate == RDFS_SEEALSO and isinstance(t.subject, Iri) and isinstance(t.object, Iri):

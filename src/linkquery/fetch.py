@@ -421,7 +421,10 @@ class DereferenceManager:
                 follows += 1
                 if follows > self._cfg.redirect_limit:
                     return done(DerefStatus.TOO_MANY_REDIRECTS, http_status=resp.status, detail=current)
-                current = urljoin(current, resp.location)
+                try:
+                    current = Iri(urljoin(current, resp.location)).value
+                except ValueError:
+                    return done(DerefStatus.HTTP_ERROR, http_status=resp.status, detail="bad redirect location")
                 continue
             if not 200 <= resp.status < 300:
                 return done(DerefStatus.HTTP_ERROR, http_status=resp.status)

@@ -30,7 +30,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .engine import plan_order
 from .query import (
@@ -55,6 +55,7 @@ from .rdf import (
     Literal,
     Term,
     Triple,
+    parse_ntriples,
     serialize_ntriples,
     term_to_text,
 )
@@ -182,6 +183,33 @@ def naive_join(patterns: Sequence[TriplePattern], triples: Iterable[Triple]) -> 
     return solutions
 
 
+def oracle(
+    triples: Iterable[Triple], *, use_sameas: bool = False, use_rhodf: bool = False
+) -> Callable[[BgpQuery], frozenset[str]]:
+    """Answer keys for queries over a fixed triple collection, prepared once."""
+    data = set(triples)
+    rep: dict[Iri, Iri] = {}
+    if use_sameas:
+        pairs = [
+            (t.subject, t.object)
+            for t in data
+            if t.predicate == OWL_SAMEAS and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
+        ]
+        rep = sameas_components(pairs)
+        data = {Triple(*(rep.get(term, term) for term in t.terms())) for t in data}
+    if use_rhodf:
+        data |= naive_rho_closure(data)
+
+    def answers(query: BgpQuery) -> frozenset[str]:
+        patterns = [
+            TriplePattern(*(t if isinstance(t, Variable) else rep.get(t, t) for t in p.terms()))
+            for p in query.patterns
+        ]
+        return frozenset(binding_text({v: sol[v] for v in query.projected}) for sol in naive_join(patterns, data))
+
+    return answers
+
+
 def oracle_eval(
     triples: Iterable[Triple],
     query: BgpQuery,
@@ -190,34 +218,7 @@ def oracle_eval(
     use_rhodf: bool = False,
 ) -> frozenset[str]:
     """Answer keys for the query over a fixed triple collection."""
-    data = set(triples)
-    patterns: list[TriplePattern] = list(query.patterns)
-    if use_sameas:
-        pairs = [
-            (t.subject, t.object)
-            for t in data
-            if t.predicate == OWL_SAMEAS and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
-        ]
-        rep = sameas_components(pairs)
-
-        def canon(term: Term) -> Term:
-            return rep.get(term, term) if isinstance(term, Iri) else term
-
-        data = {Triple(canon(t.subject), canon(t.predicate), canon(t.object)) for t in data}
-        patterns = [
-            TriplePattern(
-                canon(p.subject) if not isinstance(p.subject, Variable) else p.subject,
-                canon(p.predicate) if not isinstance(p.predicate, Variable) else p.predicate,
-                canon(p.object) if not isinstance(p.object, Variable) else p.object,
-            )
-            for p in patterns
-        ]
-    if use_rhodf:
-        data |= naive_rho_closure(data)
-    keys = set()
-    for sol in naive_join(patterns, data):
-        keys.add(binding_text({v: sol[v] for v in query.projected}))
-    return frozenset(keys)
+    return oracle(triples, use_sameas=use_sameas, use_rhodf=use_rhodf)(query)
 
 
 # --- web construction ---------------------------------------------------------
@@ -579,15 +580,18 @@ def ground_truth_for(
     doc_triples: Mapping[str, frozenset[Triple]],
     hub_docs: frozenset[str],
     alias_docs: frozenset[str],
-    query: BgpQuery,
-) -> dict[str, frozenset[str]]:
-    out: dict[str, frozenset[str]] = {}
-    for setup, (excluded, sameas, rhodf) in _restrictions(hub_docs, alias_docs).items():
-        visible: set[Triple] = set()
-        for iri, triples in doc_triples.items():
-            if iri not in excluded:
-                visible |= triples
-        out[setup] = oracle_eval(visible, query, use_sameas=sameas, use_rhodf=rhodf)
+    queries: Sequence[BgpQuery],
+) -> list[dict[str, frozenset[str]]]:
+    """Each query's answer keys per setup; each setup restriction is prepared once."""
+    out: list[dict[str, frozenset[str]]] = [{} for _ in queries]
+    answerers: dict[tuple, Callable[[BgpQuery], frozenset[str]]] = {}
+    for setup, restriction in _restrictions(hub_docs, alias_docs).items():
+        if restriction not in answerers:
+            excluded, sameas, rhodf = restriction
+            visible = set().union(*(ts for iri, ts in doc_triples.items() if iri not in excluded))
+            answerers[restriction] = oracle(visible, use_sameas=sameas, use_rhodf=rhodf)
+        for per_setup, query in zip(out, queries):
+            per_setup[setup] = answerers[restriction](query)
     return out
 
 
@@ -605,8 +609,8 @@ def generate_web(spec: WebSpec, out_dir: str | Path) -> GeneratedWeb:
     _check(len(doc_triples) <= 200, f"web too large: {len(doc_triples)} documents")
 
     gt: dict[tuple[str, str], frozenset[str]] = {}
-    for pq in queries:
-        per_setup = ground_truth_for(doc_triples, hub_docs, alias_docs, pq.query)
+    truths = ground_truth_for(doc_triples, hub_docs, alias_docs, [pq.query for pq in queries])
+    for pq, per_setup in zip(queries, truths):
         for setup, keys in per_setup.items():
             gt[(pq.query_id, setup)] = keys
         # planted strict gains
@@ -665,8 +669,6 @@ def generate_web(spec: WebSpec, out_dir: str | Path) -> GeneratedWeb:
 
 def load_fixture_documents(web_dir: str | Path) -> dict[str, list[Triple]]:
     """Parse every FILE entry of a fixture manifest, keyed by document IRI."""
-    from .rdf import parse_ntriples
-
     web = Path(web_dir)
     docs: dict[str, list[Triple]] = {}
     for line in (web / "manifest.tsv").read_text(encoding="utf-8").splitlines():

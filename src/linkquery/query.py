@@ -21,7 +21,7 @@ from .rdf import (
     Term,
     TermScanError,
     scan_term,
-    skip_ws,
+    term_to_text,
 )
 
 _VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
@@ -198,10 +198,7 @@ def parse_query(text: str, query_id: str = "q") -> BgpQuery:
                 raise QuerySyntaxError(str(e), i) from None
             terms.append(t)
             i = _skip_ws_comments(text, i)
-        try:
-            patterns.append(TriplePattern(terms[0], terms[1], terms[2]))
-        except QuerySyntaxError:
-            raise
+        patterns.append(TriplePattern(terms[0], terms[1], terms[2]))
         if i < len(text) and text[i] == ".":
             i = _skip_ws_comments(text, i + 1)
         elif i < len(text) and text[i] == "}":
@@ -377,8 +374,6 @@ def classify(q: BgpQuery) -> QueryClass:
 
 
 def pattern_to_text(p: TriplePattern) -> str:
-    from .rdf import term_to_text
-
     parts = []
     for t in p.terms():
         parts.append(f"?{t.name}" if isinstance(t, Variable) else term_to_text(t))
@@ -389,8 +384,6 @@ def binding_text(mapping: "dict[str, Term]") -> str:
     """Canonical one-line rendering of an answer, used everywhere answers
     are compared or written to files: variables sorted, N-Triples terms,
     tab-separated.  Literal escaping keeps tabs out of the payload."""
-    from .rdf import term_to_text
-
     return "\t".join(f"?{v}={term_to_text(t)}" for v, t in sorted(mapping.items()))
 
 

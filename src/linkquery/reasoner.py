@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .rdf import (
     OWL_SAMEAS,
@@ -344,6 +344,10 @@ class ReasoningStore:
             not isinstance(term, Iri) or term in RHO_VOCABULARY or rep(term) == term
             for term in t.terms()
         )
+
+    def view(self) -> AbstractSet[Triple]:
+        """The live view: canonical forms of the raw triples plus their closure."""
+        return self._view
 
     def canonical(self, term: Term) -> Term:
         return canonical_term(term, self.equiv)

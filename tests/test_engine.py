@@ -15,10 +15,11 @@ from linkquery.engine import (
     plan_order,
     unify_triple,
 )
-from linkquery.fetch import FetchConfig, FixtureResolver
+from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver
 from linkquery.fixturegen import WebSpec, generate_web, naive_join
 from linkquery.query import BgpQuery, TriplePattern, Variable, binding_text, parse_query
 from linkquery.rdf import Iri, Literal, Triple
+from linkquery.reasoner import canonical_triple
 
 NS = "http://t.example/"
 
@@ -168,6 +169,33 @@ def test_triple_matching_only_a_later_pattern_binds_nothing():
     }
 
 
+def test_retract_forgets_matches_of_triples_mentioning_a_retired_term():
+    rng = random.Random(20261018)
+    checked = 0
+    for case in range(200):
+        pats, triples = _random_eval_case(rng)
+        constants = {t for p in pats for t in p.terms() if isinstance(t, Iri)}
+        free = [I(f"n{i}") for i in range(4) if I(f"n{i}") not in constants]
+        if not free:
+            continue  # a moved query constant needs replan, not retract
+        retired = rng.choice(free)
+        gone = [t for t in triples if retired in t.terms()]
+        kept = [t for t in triples if retired not in t.terms()]
+        ev = IncrementalEvaluator(pats)
+        ev.add(triples)
+        ev.retract(gone, [retired])
+        assert not any(ev.matches(t) for t in gone), f"case {case}"
+        fresh = IncrementalEvaluator(pats)
+        fresh.add(kept)
+        assert {binding_text(s) for s in ev.solutions()} == {binding_text(s) for s in fresh.solutions()}
+        # the retracted triples are new again to the repaired evaluator
+        fresh.add(gone)
+        ev.add(gone)
+        assert {binding_text(s) for s in ev.solutions()} == {binding_text(s) for s in fresh.solutions()}
+        checked += bool(gone)
+    assert checked > 50
+
+
 def test_binding_dedup_and_key():
     b1 = Binding.of({"x": I("a"), "y": Literal("1")})
     b2 = Binding.of({"y": Literal("1"), "x": I("a")})
@@ -213,6 +241,21 @@ def test_select_only_follows_join_consistent_bindings(chain_web):
     requested = {e.iri.value for e in run.events}
     assert NS + "junk1" not in requested and NS + "junk2" not in requested
     assert run.metrics.http_lookups == 3  # s, a, b
+
+
+def test_bad_redirect_location_does_not_stop_the_run(write_web):
+    manifest = write_web(
+        {
+            NS + "s": nt((iri("s"), iri("p1"), iri("a")), (iri("s"), iri("p1"), iri("b"))),
+            NS + "a": "!REDIRECT http://[bad",
+            NS + "b": nt((iri("b"), iri("p2"), '"v"')),
+        }
+    )
+    run = execute(q(CHAIN_Q), Setup.BASE, FixtureResolver(manifest))
+    assert run.answer_keys() == {binding_text({"x": I("b"), "y": Literal("v")})}
+    statuses = {e.iri.value: e.status for e in run.events}
+    assert statuses[NS + "a"] == DerefStatus.HTTP_ERROR
+    assert statuses[NS + "b"] == DerefStatus.OK
 
 
 def test_redirects_sharing_a_target_look_it_up_once(write_web):
@@ -391,6 +434,26 @@ def test_speculative_frontier_follows_a_moved_query_constant(write_web):
     reasons = {e.iri.value: e.reason for e in run.events}
     assert reasons[NS + "o2"] == "match"
     assert run.answer_keys() == {binding_text({"o": I("o1")})}
+
+
+def test_speculative_frontier_follows_a_rekeyed_triple(write_web):
+    # 'z' holds '<a> p <d>', which unifies with '?x p <c>' only once the slow
+    # 'w' says 'd' is 'c'.  No query constant moves, so only the re-scan of
+    # the re-keyed triples can request 'a'.
+    owl = "<http://www.w3.org/2002/07/owl#sameAs>"
+    manifest = write_web(
+        {
+            NS + "c": nt((iri("z"), iri("p"), iri("c")), (iri("w"), iri("p"), iri("c"))),
+            NS + "z": nt((iri("a"), iri("p"), iri("d"))),
+            NS + "w": "!DELAY 50 THEN FILE w.nt",
+            NS + "a": nt((iri("a"), iri("r"), iri("v"))),
+        }
+    )
+    (manifest.parent / "w.nt").write_text(nt((iri("d"), owl, iri("c"))), encoding="utf-8")
+    run = execute(q(f"SELECT ?x WHERE {{ ?x {iri('p')} {iri('c')} . }}"), Setup.SAMEAS, FixtureResolver(manifest))
+    reasons = {e.iri.value: e.reason for e in run.events}
+    assert reasons[NS + "a"] == "match"
+    assert run.answer_keys() == {binding_text({"x": I(x)}) for x in "awz"}
 
 
 def test_sameas_with_alias_as_representative(write_web):
@@ -589,3 +652,39 @@ def test_answers_do_not_depend_on_fetch_completion_order(small_webs, pick, setup
         for r in runs
     }
     assert len(counts) == 1
+
+
+@pytest.fixture(scope="module")
+def frontier_webs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("frontier-webs")
+    return [
+        generate_web(WebSpec(seed=seed, alias_style=style), root / f"{style}{seed}")
+        for seed, style in ((1, "suffix"), (2, "prefixmin"))
+    ]
+
+
+def test_speculative_frontier_is_the_iris_of_matching_triples(frontier_webs, monkeypatch):
+    replans = []
+
+    class Counting(IncrementalEvaluator):
+        def replan(self, patterns, triples):
+            replans.append(1)
+            return super().replan(patterns, triples)
+
+    monkeypatch.setattr(engine, "IncrementalEvaluator", Counting)
+    for web in frontier_webs:
+        resolver = FixtureResolver(web.manifest_path)
+        for planned in web.queries:
+            for setup in (Setup.BASE, Setup.SEEALSO, Setup.SAMEAS):
+                run = execute(planned.query, setup, resolver)
+                requested = {e.iri for e in run.events}
+                raw = frozenset().union(*(web.doc_triples[i.value] for i in run.retrieved_iris()))
+                pats = [canonical_pattern(p, run.equiv) for p in run.query.patterns]
+                frontier = set()
+                for t in raw:
+                    ct = canonical_triple(t, run.equiv)
+                    if any(unify_triple(p, ct) is not None for p in pats):
+                        frontier |= {x for x in (t.subject, t.object) if isinstance(x, Iri)}
+                assert frontier <= requested, (planned.query_id, setup)
+                assert {e.iri for e in run.events if e.reason == "match"} <= frontier, (planned.query_id, setup)
+    assert replans  # a query constant moved mid-run, so the replan rescan ran

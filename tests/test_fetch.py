@@ -151,6 +151,16 @@ def test_redirect_without_location_is_http_error():
     assert manager(R()).dereference(Iri(A)).status == DerefStatus.HTTP_ERROR
 
 
+@pytest.mark.parametrize("location", ["http://[bad", "/x y"])
+def test_bad_redirect_location_is_http_error(write_web, location):
+    m = manager(FixtureResolver(write_web({B: f"!REDIRECT {location}", A: NT})))
+    result = m.dereference(Iri(B))
+    assert result.status == DerefStatus.HTTP_ERROR
+    assert result.http_status == 303
+    assert result.detail == "bad redirect location"
+    assert m.lookups_used == 1
+
+
 def test_lookup_budget_is_a_hard_cap(write_web):
     m = manager(FixtureResolver(write_web({A: NT, B: NT, C: NT})), max_lookups=2)
     statuses = [m.dereference(Iri(i)).status for i in (A, B, C)]

@@ -131,6 +131,24 @@ def test_web_written_files_parse_back(web):
     assert meta["spec"]["seed"] == 3
 
 
+def test_ground_truth_prepared_once_equals_per_query_oracle(web):
+    hub, alias = web.hub_doc_iris, web.alias_doc_iris
+    restrictions = {
+        "base": (hub | alias, False, False),
+        "select": (hub | alias, False, False),
+        "seealso": (alias, False, False),
+        "sameas": (hub, True, False),
+        "rhodf": (hub | alias, False, True),
+        "combined": (frozenset(), True, True),
+    }
+    assert set(restrictions) == set(SETUP_NAMES)
+    for setup, (excluded, sameas, rhodf) in restrictions.items():
+        visible = frozenset().union(*(ts for d, ts in web.doc_triples.items() if d not in excluded))
+        for pq in web.queries:
+            want = oracle_eval(visible, pq.query, use_sameas=sameas, use_rhodf=rhodf)
+            assert web.ground_truth[(pq.query_id, setup)] == want, (pq.query_id, setup)
+
+
 def test_suite_queries_round_trip_and_classify(web):
     entries = load_suite(web.suite_path)
     by_id = {pq.query_id: pq for pq in web.queries}
