@@ -22,17 +22,26 @@ Query relevance means: a seed constant, a value bound by the evaluator, or
 anything owl:sameAs-equivalent to one of those.
 
 The join state is exact at every step and keys each match by the view triple
-that made it; the speculative frontier reads those matches.  When an
+that made it; the speculative frontier reads those matches.  The join is a
+symmetric hash join over the plan's levels: each level's matches, and the
+partials of the level before, are indexed by the values of the variables the
+level's pattern shares with the patterns before it, and a triple is unified
+only with the patterns that carry its predicate or a variable predicate, so
+the work per triple does not grow with the join state.  When an
 owl:sameAs merge retires a representative, the store takes the view forms
 that mention it out and re-canonicalizes only the raw triples that touch a
 moved IRI; the evaluator drops those forms' matches and the partials that
-bind the retired IRI.  When a query constant itself moved, or the merge moved
-rule vocabulary so that the store chained again, the evaluator starts over
-from the store's live view.  The running evaluator's solutions are therefore
-the answers, and the live view gives Inferred.  For a fixed fixture web and
-an untruncated run, the reachable-document closure is order-independent,
-which makes Results, HTTP, Retrieved, and Inferred deterministic even though
-fetches run in parallel.
+bind the retired IRI, from its maps and from the join indexes.  When a query
+constant itself moved, or the merge moved rule vocabulary so that the store
+chained again, the evaluator starts over from the store's live view.  The
+running evaluator's solutions are therefore the answers, and the live view
+gives Inferred.  For a fixed fixture web and an untruncated run, the
+reachable-document closure is order-independent, which makes Results, HTTP,
+Retrieved, and Inferred deterministic even though fetches run in parallel.
+
+The deadline bounds the run's wall time: once it passes, every hop still out
+is recorded as skipped, the run is flagged truncated, and ``execute`` returns
+without waiting for the fetch workers.
 """
 
 from __future__ import annotations
@@ -42,7 +51,8 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .fetch import (
     DerefResult,
@@ -151,23 +161,9 @@ def plan_order(patterns: Sequence[TriplePattern]) -> tuple[TriplePattern, ...]:
     return tuple(plan)
 
 
-def _bkey(b: Mapping[str, Term]) -> tuple:
-    return tuple(sorted(b.items(), key=lambda kv: kv[0]))
-
-
-def _join(parts: Iterable[dict], matches: Collection[dict]) -> list[dict]:
-    out = []
-    for a in parts:
-        for m in matches:
-            for var, val in m.items():
-                got = a.get(var)
-                if got is not None and got != val:
-                    break
-            else:
-                merged = dict(a)
-                merged.update(m)
-                out.append(merged)
-    return out
+def _getter(names: Sequence[str]) -> Callable[[Mapping[str, Term]], object]:
+    """The values of ``names`` in a binding, as one hashable key."""
+    return itemgetter(*names) if names else lambda b: ()
 
 
 @dataclass(slots=True)
@@ -180,78 +176,130 @@ class EvalDelta:
 class IncrementalEvaluator:
     """Semi-naive evaluation of a BGP over a changing triple set.
 
-    Partial solutions are prefixes of a plan order.  Matches are keyed by the
-    triple that made them (a pattern and a full binding fix it); ``_holders``
-    indexes only the partials, by the terms they bind.  ``add`` only ever adds
-    matches, partials and solutions; ``retract`` and ``replan`` repair them
-    when an owl:sameAs merge re-keys triples or the patterns themselves.
+    Partial solutions are prefixes of a plan order; level ``i`` holds the
+    bindings of ``plan[:i+1]``.  Matches are keyed by the triple that made
+    them (a pattern and a full binding fix it).  The join is a symmetric hash
+    join: level ``i``'s matches, and the partials of level ``i-1``, are also
+    indexed by the values of the variables ``plan[i]`` shares with
+    ``plan[:i]`` (none for a disconnected pattern, which makes a cross
+    product), so a new match or a new partial finds its join partners by one
+    lookup.  A triple is unified only with the patterns whose predicate it
+    carries, and with those whose predicate is a variable.  ``_holders``
+    lists each partial under every term it binds.
+
+    ``add`` only ever adds matches, partials and solutions.  ``retract``
+    takes matches and partials out of both their maps and the indexes, and
+    a dropped partial out of ``_holders`` under its other terms, so nothing
+    stale is left behind; it and ``replan``, which rebuilds every index
+    through ``_plan``, repair the state when an owl:sameAs merge re-keys
+    triples or the patterns themselves.
     """
 
     def __init__(self, patterns: Sequence[TriplePattern]) -> None:
         self._seen_values: set[tuple[Term, str]] = set()
-        # Each bound term -> the (level, key) partials binding it.  ``retract``
-        # pops only the retired term's list, so a partial stays listed under
-        # its other terms until ``replan`` clears them all.
-        self._holders: dict[Term, list[tuple[dict, tuple]]] = {}
         self._plan(plan_order(patterns))
 
     def _plan(self, plan: tuple[TriplePattern, ...]) -> None:
         self.plan = plan
         k = len(plan)
-        # Matches per level by the triple that made them; partials by binding key.
+        # Matches per level by the triple that made them; partials by the
+        # values of every variable their level binds.
         self._matches: list[dict[Triple, dict]] = [{} for _ in range(k)]
-        self._levels: list[dict[tuple, dict]] = [{} for _ in range(k)]
-        # After matching plan[:L+1], each variable's position kinds so far.
-        self._kinds: list[dict[str, frozenset[str]]] = []
-        acc: dict[str, set[str]] = {}
-        for p in plan:
+        self._levels: list[dict[object, dict]] = [{} for _ in range(k)]
+        # Join key -> level i's matches by triple, and the partials of
+        # level i-1 by their key.
+        self._match_index: list[dict[object, dict[Triple, dict]]] = [{} for _ in range(k)]
+        self._partial_index: list[dict[object, dict[object, dict]]] = [{} for _ in range(k)]
+        # Each bound term -> the (level, key) of every partial binding it.
+        self._holders: dict[Term, set[tuple[int, object]]] = {}
+        self._join_key: list[Callable] = []
+        self._partial_key: list[Callable] = []
+        # The (variable, position kind) pairs each level binds first, in the
+        # order a partial lists its variables.
+        self._new_kinds: list[tuple[tuple[str, str], ...]] = []
+        bound: list[str] = []
+        kinds: set[tuple[str, str]] = set()
+        by_pred: dict[Term, list[int]] = {}
+        wild: list[int] = []
+        for i, p in enumerate(plan):
+            names = [t.name for t in p.terms() if isinstance(t, Variable)]
+            self._join_key.append(_getter(sorted(set(names) & set(bound))))
+            bound += [v for v in dict.fromkeys(names) if v not in bound]
+            self._partial_key.append(_getter(bound))
+            new = []
             for term, kind in ((p.subject, "so"), (p.predicate, "pred"), (p.object, "so")):
-                if isinstance(term, Variable):
-                    acc.setdefault(term.name, set()).add(kind)
-            self._kinds.append({v: frozenset(ks) for v, ks in acc.items()})
+                if isinstance(term, Variable) and (term.name, kind) not in kinds:
+                    kinds.add((term.name, kind))
+                    new.append((term.name, kind))
+            self._new_kinds.append(tuple(sorted(new, key=lambda vk: bound.index(vk[0]))))
+            if isinstance(p.predicate, Variable):
+                wild.append(i)
+            else:
+                by_pred.setdefault(p.predicate, []).append(i)
+        # Constant predicate -> the plan positions a triple carrying it may
+        # match; a triple carrying any other predicate may match only those
+        # whose predicate is a variable.
+        self._dispatch = {pred: tuple(sorted(pos + wild)) for pred, pos in by_pred.items()}
+        self._wild = tuple(wild)
 
     def add(self, triples: Iterable[Triple]) -> EvalDelta:
-        k = len(self.plan)
+        plan, k = self.plan, len(self.plan)
         new_matches: list[list[dict]] = [[] for _ in range(k)]
         matched: list[Triple] = []
         for t in triples:
             hit = False
-            for i, pat in enumerate(self.plan):
+            for i in self._dispatch.get(t.predicate, self._wild):
                 if t in self._matches[i]:
                     continue
-                b = unify_triple(pat, t)
+                b = unify_triple(plan[i], t)
                 if b is not None:
                     hit = True
                     self._matches[i][t] = b
+                    self._match_index[i].setdefault(self._join_key[i](b), {})[t] = b
                     new_matches[i].append(b)
             if hit:
                 matched.append(t)
-        deltas: list[dict[tuple, dict]] = []
+        # Each level's new partials: the prior partials (this batch's own
+        # excluded: they are registered below) with the new matches, then
+        # the previous level's new partials with every match.
+        deltas: list[dict[object, dict]] = []
         for level in range(k):
-            prior = self._levels[level - 1].values() if level else ({},)
-            candidates = _join(prior, new_matches[level])
-            if level:
-                candidates += _join(deltas[level - 1].values(), self._matches[level].values())
-            known = self._levels[level]
-            accepted: dict[tuple, dict] = {}
+            if level == 0:
+                candidates = new_matches[0]
+            else:
+                join_key = self._join_key[level]
+                prior, by_key = self._partial_index[level], self._match_index[level]
+                candidates = [
+                    {**a, **m} for m in new_matches[level] for a in prior.get(join_key(m), {}).values()
+                ]
+                candidates += [
+                    {**d, **m} for d in deltas[level - 1].values() for m in by_key.get(join_key(d), {}).values()
+                ]
+            key_of, known = self._partial_key[level], self._levels[level]
+            accepted: dict[object, dict] = {}
             for b in candidates:
-                key = _bkey(b)
+                key = key_of(b)
                 if key not in known and key not in accepted:
                     accepted[key] = b
             deltas.append(accepted)
         values: list[tuple[Term, str]] = []
         for level, batch in enumerate(deltas):
-            kinds = self._kinds[level]
             partials = self._levels[level]
+            index = self._partial_index[level + 1] if level + 1 < k else None
+            join_key = self._join_key[level + 1] if index is not None else None
             for key, b in batch.items():
                 partials[key] = b
-                for var, val in b.items():
-                    self._holders.setdefault(val, []).append((partials, key))
-                    for kind in kinds.get(var, ()):
-                        pair = (val, kind)
-                        if pair not in self._seen_values:
-                            self._seen_values.add(pair)
-                            values.append(pair)
+                if index is not None:
+                    index.setdefault(join_key(b), {})[key] = b
+                holder = (level, key)
+                for val in b.values():
+                    self._holders.setdefault(val, set()).add(holder)
+                # Pairs of variables bound at earlier levels were seen there.
+                for var, kind in self._new_kinds[level]:
+                    pair = (b[var], kind)
+                    if pair not in self._seen_values:
+                        self._seen_values.add(pair)
+                        values.append(pair)
         return EvalDelta(
             values=values,
             solutions=list(deltas[-1].values()) if k else [],
@@ -271,15 +319,23 @@ class IncrementalEvaluator:
         facts dropped without a retired term, need ``replan``.
         """
         for t in triples:
-            for m in self._matches:
-                m.pop(t, None)
+            for i, matches in enumerate(self._matches):
+                b = matches.pop(t, None)
+                if b is not None:
+                    del self._match_index[i][self._join_key[i](b)][t]
+        last = len(self.plan) - 1
         for term in retired:
-            for partials, key in self._holders.pop(term, ()):
-                partials.pop(key, None)
+            for holder in self._holders.pop(term, ()):
+                level, key = holder
+                b = self._levels[level].pop(key)
+                for val in b.values():
+                    if val != term:
+                        self._holders[val].discard(holder)
+                if level < last:
+                    del self._partial_index[level + 1][self._join_key[level + 1](b)][key]
 
     def replan(self, patterns: Sequence[TriplePattern], triples: Iterable[Triple]) -> EvalDelta:
         """Start over on ``patterns`` from ``triples``, the live view."""
-        self._holders.clear()
         self._plan(plan_order(patterns))
         return self.add(triples)
 
@@ -482,37 +538,52 @@ def execute(
                 relevant.add(canon)
                 follow_links(canon)
 
-    with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
-        in_flight: dict[Future, tuple[Iri, str]] = {}
+    deadline = t0 + cfg.deadline_ms / 1000.0
+    in_flight: dict[Future, tuple[Iri, str]] = {}
 
-        def launch() -> None:
-            while pending:
-                iri, reason = pending.popleft()
-                in_flight[pool.submit(manager.dereference, iri)] = (iri, reason)
+    def record(iri: Iri, reason: str, res: DerefResult) -> None:
+        nonlocal truncated
+        if res.status == DerefStatus.SKIPPED:
+            truncated = True
+        events.append(
+            FetchEvent(
+                iri=iri,
+                reason=reason,
+                status=res.status,
+                http_status=res.http_status,
+                triples=len(res.document.triples) if res.document else 0,
+                t_s=clk.now() - t0,
+                elapsed_s=res.elapsed_s,
+            )
+        )
 
+    # Not a ``with`` block: joining the pool would wait out fetches that
+    # outlive the deadline.  Their workers finish in the background.
+    pool = ThreadPoolExecutor(max_workers=cfg.max_parallel)
+
+    def launch() -> None:
+        while pending:
+            iri, reason = pending.popleft()
+            in_flight[pool.submit(manager.dereference, iri)] = (iri, reason)
+
+    try:
         launch()
         while in_flight:
-            done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
+            done, _ = wait(list(in_flight), timeout=max(0.0, deadline - clk.now()), return_when=FIRST_COMPLETED)
+            if not done:
+                # The deadline passed: every hop still out, started or queued, is skipped.
+                for iri, reason in in_flight.values():
+                    record(iri, reason, DerefResult(iri=iri, status=DerefStatus.SKIPPED, detail="deadline exhausted"))
+                break
             for fut in done:
                 iri, reason = in_flight.pop(fut)
                 res: DerefResult = fut.result()
-                if res.status == DerefStatus.SKIPPED:
-                    truncated = True
-                n = len(res.document.triples) if res.document else 0
-                events.append(
-                    FetchEvent(
-                        iri=iri,
-                        reason=reason,
-                        status=res.status,
-                        http_status=res.http_status,
-                        triples=n,
-                        t_s=clk.now() - t0,
-                        elapsed_s=res.elapsed_s,
-                    )
-                )
+                record(iri, reason, res)
                 if res.status == DerefStatus.OK and res.document is not None:
                     process_doc(res.document)
             launch()
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
 
     final = store.finalize()
     by_key: dict[str, Binding] = {}

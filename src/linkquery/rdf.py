@@ -9,7 +9,7 @@ reported with its line number and skipped, it never aborts the document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 # Absolute IRI with a scheme, restricted to characters that survive the
@@ -40,6 +40,9 @@ class Iri:
     def __post_init__(self) -> None:
         if not _IRI_RE.match(self.value):
             raise ValueError(f"not an absolute IRI: {self.value!r}")
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __repr__(self) -> str:
         return f"Iri({self.value!r})"
@@ -75,15 +78,34 @@ Term = Union[Iri, BlankNode, Literal]
 
 @dataclass(frozen=True, slots=True)
 class Triple:
+    """An RDF triple.
+
+    Its hash is computed once, at construction, and kept in ``_hash``: the
+    store, the chainer and the evaluator look every triple up in several
+    sets and dicts, and a dataclass would hash three terms again each time.
+    That hash is derived from ``str`` hashes, which Python salts per
+    process, so it must never be copied across a process boundary;
+    ``__reduce__`` makes pickling rebuild the triple through the
+    constructor, which hashes it afresh.
+    """
+
     subject: Term
     predicate: Term
     object: Term
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.subject, Literal):
             raise ValueError("triple subject cannot be a literal")
         if not isinstance(self.predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Triple, (self.subject, self.predicate, self.object))
 
     def terms(self) -> tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)

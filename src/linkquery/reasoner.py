@@ -90,6 +90,8 @@ def canonical_term(term: Term, eq: EquivalenceClasses) -> Term:
 
 
 def canonical_triple(t: Triple, eq: EquivalenceClasses) -> Triple:
+    if not eq.version:  # nothing merged yet: every IRI is its own representative
+        return t
     s, p, o = canonical_term(t.subject, eq), eq.rep(t.predicate), canonical_term(t.object, eq)
     if s is t.subject and p is t.predicate and o is t.object:
         return t
@@ -108,7 +110,7 @@ class _RhoChainer:
     def __init__(self) -> None:
         self.facts: set[Triple] = set()
         self.rule_counts: Counter[str] = Counter()
-        self._by_pred: dict[Iri, set[tuple[Term, Term]]] = {}
+        self._by_pred: dict[Iri, set[Triple]] = {}
         self._subclass_out: dict[Term, set[Term]] = {}
         self._subclass_in: dict[Term, set[Term]] = {}
         self._subprop_out: dict[Term, set[Term]] = {}
@@ -143,7 +145,7 @@ class _RhoChainer:
 
     def _index(self, t: Triple) -> None:
         s, p, o = t.terms()
-        self._by_pred.setdefault(p, set()).add((s, o))
+        self._by_pred.setdefault(p, set()).add(t)
         if p == RDFS_SUBCLASSOF:
             self._subclass_out.setdefault(s, set()).add(o)
             self._subclass_in.setdefault(o, set()).add(s)
@@ -182,20 +184,20 @@ class _RhoChainer:
             for b in self._subprop_out.get(o, ()):
                 yield Triple(s, RDFS_SUBPROPERTYOF, b), "subproperty-transitivity"
             if isinstance(o, Iri):
-                for x, y in self._by_pred.get(s, ()) if isinstance(s, Iri) else ():
-                    yield Triple(x, o, y), "subproperty-rewrite"
+                for u in self._by_pred.get(s, ()) if isinstance(s, Iri) else ():
+                    yield Triple(u.subject, o, u.object), "subproperty-rewrite"
         elif p == RDF_TYPE:
             for b in self._subclass_out.get(o, ()):
                 yield Triple(s, RDF_TYPE, b), "type-propagation"
         elif p == RDFS_DOMAIN:
             if isinstance(s, Iri):
-                for x, _y in self._by_pred.get(s, ()):
-                    yield Triple(x, RDF_TYPE, o), "domain"
+                for u in self._by_pred.get(s, ()):
+                    yield Triple(u.subject, RDF_TYPE, o), "domain"
         elif p == RDFS_RANGE:
             if isinstance(s, Iri):
-                for _x, y in self._by_pred.get(s, ()):
-                    if not isinstance(y, Literal):
-                        yield Triple(y, RDF_TYPE, o), "range"
+                for u in self._by_pred.get(s, ()):
+                    if not isinstance(u.object, Literal):
+                        yield Triple(u.object, RDF_TYPE, o), "range"
 
 
 def rho_df_closure(triples: Iterable[Triple]) -> set[Triple]:
@@ -268,6 +270,7 @@ class ReasoningStore:
                 self._raw.add(t)
                 fresh.append(t)
         if not self.use_sameas:
+            # The data is the raw set itself, which already holds ``fresh``.
             delta = ViewDelta(fresh, [])
             self._admit(fresh, delta)
             return delta
@@ -305,13 +308,14 @@ class ReasoningStore:
                 if isinstance(term, Iri):
                     self._raw_by_iri.setdefault(term, []).append(t)
         forms = [canonical_triple(t, self.equiv) for t in delta.rekeyed + fresh]
+        self._data.update(forms)
         self._admit(forms, delta)
         return delta
 
     def _admit(self, forms: list[Triple], delta: ViewDelta) -> None:
+        """Show the data forms not yet in the view, then what they chain to."""
         added = []
         for t in forms:
-            self._data.add(t)
             if t not in self._view:
                 added.append(t)
                 self._show(t, delta)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -188,12 +189,132 @@ def test_retract_forgets_matches_of_triples_mentioning_a_retired_term():
         fresh = IncrementalEvaluator(pats)
         fresh.add(kept)
         assert {binding_text(s) for s in ev.solutions()} == {binding_text(s) for s in fresh.solutions()}
+        # new triples must not join with a retracted match or a dropped
+        # partial left behind in the join indexes
+        _, more = _random_eval_case(rng)
+        more = [t for t in more if retired not in t.terms()]
+        fresh.add(more)
+        ev.add(more)
+        assert {binding_text(s) for s in ev.solutions()} == {binding_text(s) for s in fresh.solutions()}
         # the retracted triples are new again to the repaired evaluator
         fresh.add(gone)
         ev.add(gone)
         assert {binding_text(s) for s in ev.solutions()} == {binding_text(s) for s in fresh.solutions()}
         checked += bool(gone)
     assert checked > 50
+
+
+def _nested_loop_join(parts, matches):
+    """Every compatible (partial, match) pair, merged: the plain nested loop."""
+    return [
+        {**a, **m}
+        for a in parts
+        for m in matches
+        if all(a.get(var, val) == val for var, val in m.items())
+    ]
+
+
+class _ReferenceEvaluator:
+    """From-scratch evaluation of the plan over the triples held now."""
+
+    def __init__(self, patterns):
+        self.plan = plan_order(patterns)
+        self.held = set()
+        self.seen = set()
+
+    def levels(self):
+        parts, out = [{}], []
+        for pat in self.plan:
+            parts = _nested_loop_join(parts, [b for t in self.held if (b := unify_triple(pat, t)) is not None])
+            out.append(parts)
+        return out
+
+    def solutions(self):
+        return {binding_text(b) for b in self.levels()[-1]}
+
+    def matches(self, t):
+        return t in self.held and any(unify_triple(p, t) is not None for p in self.plan)
+
+    def new_values(self):
+        """(value, position kind) pairs bound by some partial now and never before."""
+        kinds, pairs = {}, set()
+        for pat, parts in zip(self.plan, self.levels()):
+            for term, kind in ((pat.subject, "so"), (pat.predicate, "pred"), (pat.object, "so")):
+                if isinstance(term, Variable):
+                    kinds.setdefault(term.name, set()).add(kind)
+            pairs |= {(b[var], kind) for b in parts for var in b for kind in kinds[var]}
+        fresh = pairs - self.seen
+        self.seen |= pairs
+        return fresh
+
+
+def _random_bgp(rng, ents, preds, vars_):
+    return [
+        TriplePattern(rng.choice(ents + vars_), rng.choice(preds + vars_[:2]), rng.choice(ents + vars_ + [Literal("v")]))
+        for _ in range(rng.randrange(1, 5))
+    ]
+
+
+def _plan_shapes(plan):
+    shapes = set()
+    bound = set()
+    for i, p in enumerate(plan):
+        names = [t.name for t in p.terms() if isinstance(t, Variable)]
+        if len(set(names)) < len(names):
+            shapes.add("repeated-var")
+        if not names:
+            shapes.add("constant-only")
+        elif i and not bound & set(names):
+            shapes.add("disconnected")
+        if isinstance(p.predicate, Variable) and any(p.predicate.name in o.variables() for o in plan if o is not p):
+            shapes.add("shared-var-pred")
+        bound |= set(names)
+    return shapes
+
+
+def test_hash_join_agrees_with_nested_loop_reference_under_add_retract_replan():
+    rng = random.Random(20261101)
+    ents = [I(f"n{i}") for i in range(4)]
+    preds = [I("q0"), I("q1"), ents[0]]  # an entity as predicate lets a ?var join subject and predicate
+    vars_ = [Variable("x"), Variable("y"), Variable("z")]
+    universe = sorted(
+        {Triple(s, p, o) for s in ents for p in preds for o in ents + [Literal("v")]}, key=repr
+    )
+    seen_shapes = set()
+    for case in range(150):
+        pats = _random_bgp(rng, ents, preds, vars_)
+        ev, ref = IncrementalEvaluator(pats), _ReferenceEvaluator(pats)
+        for step in range(12):
+            seen_shapes |= _plan_shapes(ref.plan)
+            op = rng.random()
+            constants = {t for p in ref.plan for t in p.terms() if isinstance(t, Iri)}
+            free = [e for e in ents if e not in constants]
+            if op < 0.6:
+                batch = rng.sample(universe, rng.randrange(0, 12))
+                ref.held |= set(batch)
+                got, want = ev.add(batch).values, ref.new_values()
+            elif op < 0.85 and free:
+                # as after a merge: every held triple mentioning a retired non-constant
+                retired = rng.choice(free)
+                gone = [t for t in ref.held if retired in t.terms()]
+                ev.retract(gone, [retired])
+                ref.held -= set(gone)
+                got, want = [], ref.new_values()
+            else:
+                # as after a query constant moved: a new plan over the held triples
+                pats = [
+                    TriplePattern(*(rng.choice(ents) if isinstance(t, Iri) and t in ents else t for t in p.terms()))
+                    for p in pats
+                ]
+                held, seen = ref.held, ref.seen
+                ref = _ReferenceEvaluator(pats)
+                ref.held, ref.seen = held, seen
+                got, want = ev.replan(pats, sorted(held, key=repr)).values, ref.new_values()
+            where = f"case {case} step {step}: {pats}"
+            assert set(got) == want and len(got) == len(want), where
+            assert {binding_text(s) for s in ev.solutions()} == ref.solutions(), where
+            assert [ev.matches(t) for t in universe] == [ref.matches(t) for t in universe], where
+    assert seen_shapes == {"repeated-var", "shared-var-pred", "constant-only", "disconnected"}
 
 
 def test_binding_dedup_and_key():
@@ -552,6 +673,21 @@ def test_truncated_run_is_flagged(chain_web):
     )
     assert run.metrics.truncated is True
     assert run.metrics.http_lookups == 2
+
+
+def test_deadline_bounds_wall_time(write_web):
+    manifest = write_web({NS + "s": "!DELAY 3000 THEN FILE slow.nt"})
+    (manifest.parent / "slow.nt").write_text(nt((iri("s"), iri("p1"), iri("a"))), encoding="utf-8")
+    started = time.monotonic()
+    run = execute(
+        q(f"SELECT ?x WHERE {{ {iri('s')} {iri('p1')} ?x . }}"),
+        Setup.BASE,
+        FixtureResolver(manifest),
+        config=FetchConfig(deadline_ms=200, timeout_ms=500),
+    )
+    assert time.monotonic() - started < 1.0
+    assert run.metrics.truncated is True
+    assert [(e.iri, e.status) for e in run.events] == [(S, DerefStatus.SKIPPED)]
 
 
 def test_first_solution_timestamp_only_when_answers_exist(chain_web, seealso_web):

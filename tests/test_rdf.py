@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,6 +107,23 @@ def test_triple_validation():
         Triple(s, Literal("x"), s)
     with pytest.raises(ValueError):
         Triple(s, BlankNode("b", "d"), s)
+
+
+def test_pickled_triple_is_found_under_another_hash_seed():
+    """A triple's cached hash is salted per process; unpickling must recompute it."""
+    line = '<http://a.example/s> <http://a.example/p> "v"@en .\n'
+    code = (
+        "import pickle, sys; from linkquery.rdf import parse_ntriples; "
+        f"sys.stdout.buffer.write(pickle.dumps((hash('probe'), parse_ntriples({line!r}, 'd')[0][0])))"
+    )
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60)
+        probe, triple = pickle.loads(out.stdout)
+        if probe != hash("probe"):
+            break
+    assert probe != hash("probe"), "the child process should hash strings differently"
+    assert triple in set(parse_ntriples(line, "d")[0])
 
 
 def test_literal_rejects_datatype_and_language_together():
