@@ -12,11 +12,21 @@ OLD_ROOT's generator, with every suite query under all six setups; with
 run uses ``FetchConfig(max_parallel=2)`` and default engine options, as the
 benchmark does.
 
-For each (web, query, setup) run it compares the answer keys, the four
-counts (Results, HTTP, Retrieved, Inferred), ``truncated``, the retrieved
-IRIs, the reason each IRI was requested for, and digests of
-``FinalState.data`` and ``FinalState.inferred``.  It prints the first
-difference and exits 1; it exits 0 when every run matched.
+The parse stage comes first.  OLD_ROOT also writes a parse corpus once:
+``CORPUS_LINES`` seeded lines put together from N-Triples term fragments,
+good and bad escapes, language tags, datatypes and stray characters, and
+``CORPUS_BYTES`` seeded random byte strings.  Each root parses every corpus
+entry and every ``.nt`` document of the webs with ``parse_ntriples``; the
+stage compares each entry's triples (term text plus blank-node scope) and
+the line numbers of its errors.
+
+The run stage follows.  For each (web, query, setup) run it compares the
+answer keys, the four counts (Results, HTTP, Retrieved, Inferred),
+``truncated``, the retrieved IRIs, the reason each IRI was requested for,
+and digests of ``FinalState.data`` and ``FinalState.inferred``.
+
+Each stage prints the first difference and exits 1; the script exits 0 when
+every parse and every run matched.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -33,6 +44,30 @@ from pathlib import Path
 HERE = Path(__file__).resolve()
 CHAIN_WORKLOADS = ("long-chain", "sameas-chain")
 FIELDS = ("answers", "counts", "truncated", "retrieved", "reasons", "data", "inferred")
+PARSE_FIELDS = ("triples", "errors")
+CORPUS_LINES = 100_000
+CORPUS_BYTES = 10_000
+CORPUS_SEED = 20140225
+
+# Fragments the corpus lines are put together from, each as a pair of
+# (well-formed, near misses), so that both sides of every rule of the term
+# grammar are exercised while about half of the lines still parse.
+IRIS = (("<http://a.example/s>", "<http://a/p>", "<urn:x>", "<http://a/\\u0041>", "<http://a/\\U0001F600>",
+         "<http://a/\\U0010FFFF>", "<http://a/\u0085>", "<http://a/\\uD800>"),
+        ("<http://a/\\u003E>", "<http://a/\\u00>", "<http://a/\\U00110000>", "<http://a/\\t>", "<http://a/\\>",
+         "<http://a/\t>", "<rel>", "<>", "<http://a/ b>", "<http://a", "<<http://a/>>"))
+BNODES = (("_:b0", "_:x_1-2", "_:_"), ("_:-x", "_:", "_x", "_:\u00e9"))
+BODIES = (("", "plain", "sp ace", "\\t", "\\b\\n\\r\\f", '\\"', "\\'", "\\\\", "\\u00E9", "\\U0001F600",
+           "\\U0010FFFF", "\u0085", "\u2028", "\r", "\t", "<", ">", "'", "#", "@", "^"),
+          ("\\u00", "\\U00110000", "\\x", "\\", '"'))
+TAGS = (("", "", "", "@en", "@en-US", "^^<http://a/dt>", "^^<http://a/\\u0041>"),
+        ("@en1", "@", "@-x", "@en-", "^", "^^", "^^<>", "^^x", "^^_:b", "@en^^<http://a/dt>"))
+SEPS = (("", " ", " ", "\t", "  "), ("\r", "\u0085", "\u2028"))
+ENDS = ((" .", ".", " . # c", " .# c", " . \t"), (" . x", "", " ..", " #c", " .\r", ". ."))
+STRAYS = ("<", ">", '"', "\\", "\r", "\u0085", "\u2028", "@", "^", "_", ":", ".", "#", " ", "\t", "\\u")
+# Chance of an IRI, a blank node or a literal in subject, predicate and
+# object position.
+TERM_WEIGHTS = ((60, 35, 5), (95, 3, 2), (40, 20, 40))
 
 
 def seed_range(text: str) -> list[int]:
@@ -79,6 +114,71 @@ def generate_fixture_webs(seeds: list[int], workdir: Path) -> list[dict]:
     return webs
 
 
+def pick(rng: random.Random, fragments: tuple[tuple[str, ...], tuple[str, ...]]) -> str:
+    good, bad = fragments
+    return rng.choice(bad if rng.random() < 0.04 else good)
+
+
+def corpus_term(rng: random.Random, position: int) -> str:
+    kind = rng.choices(range(3), TERM_WEIGHTS[position])[0]
+    if kind < 2:
+        return pick(rng, (IRIS, BNODES)[kind])
+    body = "".join(pick(rng, BODIES) for _ in range(rng.randrange(4)))
+    return f'"{body}"{pick(rng, TAGS)}'
+
+
+def corpus_line(rng: random.Random) -> str:
+    if rng.random() < 0.05:
+        return "".join(rng.choice(STRAYS + IRIS[1] + BNODES[1] + TAGS[1]) for _ in range(rng.randrange(8)))
+    parts = [pick(rng, SEPS)]
+    for position in range(3):
+        parts += [corpus_term(rng, position), pick(rng, SEPS)]
+    parts.append(pick(rng, ENDS))
+    line = list("".join(parts))
+    for _ in range(rng.choice((0, 0, 0, 0, 0, 1, 2))):
+        at = rng.randrange(len(line) + 1)
+        if rng.random() < 0.5 and at < len(line):
+            del line[at]
+        else:
+            line.insert(at, rng.choice(STRAYS))
+    return "".join(line)
+
+
+def write_corpus(path: Path) -> None:
+    """Seeded fuzzed lines (several to an entry, now and then) and random bytes."""
+    rng = random.Random(CORPUS_SEED)
+    entries: list[bytes] = []
+    n_lines = 0
+    while n_lines < CORPUS_LINES:
+        lines = [corpus_line(rng) for _ in range(rng.choice((1, 1, 1, 2, 3)))]
+        entries.append(rng.choice(("\n", "\r\n")).join(lines).encode("utf-8"))
+        n_lines += len(lines)
+    syntax = b'<>"_:@^\\ .#\r\n\tuU0123456789abcdefABCDEF/'
+    for _ in range(CORPUS_BYTES):
+        alphabet = syntax if rng.random() < 0.5 else bytes(range(256))
+        entries.append(bytes(rng.choice(alphabet) for _ in range(rng.randrange(80))))
+    path.write_text(json.dumps([e.decode("latin-1") for e in entries]), encoding="utf-8")
+
+
+def parse_all(workdir: Path, webs: list[dict], out) -> None:
+    from linkquery.rdf import parse_ntriples
+
+    def record(name: str, data: bytes) -> None:
+        triples, errors = parse_ntriples(data, doc_scope=name)
+        out.write(json.dumps({
+            "run": [name],
+            "triples": [" ".join(_term_text(x) for x in t.terms()) for t in triples],
+            "errors": [e.line for e in errors],
+        }) + "\n")
+
+    corpus = json.loads((workdir / "corpus.json").read_text(encoding="utf-8"))
+    for n, entry in enumerate(corpus):
+        record(f"corpus{n}", entry.encode("latin-1"))
+    for web in webs:
+        for doc in sorted(Path(web["manifest"]).parent.rglob("*.nt")):
+            record(f"{web['name']}/{doc.name}", doc.read_bytes())
+
+
 def run_webs(webs: list[dict], out) -> None:
     from linkquery.bench import load_suite
     from linkquery.engine import execute
@@ -112,8 +212,11 @@ def worker(argv: list[str]) -> int:
     if mode == "gen":
         webs = generate_fixture_webs(seed_range(argv[3]), workdir)
         (workdir / "webs.json").write_text(json.dumps(webs), encoding="utf-8")
+        write_corpus(workdir / "corpus.json")
     else:
         webs = json.loads((workdir / "webs.json").read_text(encoding="utf-8"))
+        with open(workdir / f"parses-{mode}.jsonl", "w", encoding="utf-8") as out:
+            parse_all(workdir, webs, out)
         with open(workdir / f"runs-{mode}.jsonl", "w", encoding="utf-8") as out:
             run_webs(webs, out)
     return 0
@@ -134,7 +237,7 @@ def add_chain_webs(seed: int, workdir: Path) -> list[dict]:
     return webs
 
 
-def compare(old_path: Path, new_path: Path) -> int:
+def compare(old_path: Path, new_path: Path, fields: tuple[str, ...], what: str) -> int:
     with open(old_path, encoding="utf-8") as old_fh, open(new_path, encoding="utf-8") as new_fh:
         n = 0
         for old_line, new_line in zip(old_fh, new_fh, strict=True):
@@ -142,12 +245,12 @@ def compare(old_path: Path, new_path: Path) -> int:
             if old["run"] != new["run"]:
                 print(f"runs out of step: {old['run']} against {new['run']}")
                 return 1
-            for name in FIELDS:
+            for name in fields:
                 if old[name] != new[name]:
                     print(f"DIFF {'/'.join(old['run'])} {name}:\n  old {str(old[name])[:400]}\n  new {str(new[name])[:400]}")
                     return 1
             n += 1
-    print(f"{n} runs identical")
+    print(f"{n} {what} identical")
     return 0
 
 
@@ -172,7 +275,8 @@ def main(argv: list[str] | None = None) -> int:
             webs += add_chain_webs(args.chain_seed, workdir)
             (workdir / "webs.json").write_text(json.dumps(webs), encoding="utf-8")
         wait_ok(in_root(roots[0], "old", str(workdir)), in_root(roots[1], "new", str(workdir)))
-        return compare(workdir / "runs-old.jsonl", workdir / "runs-new.jsonl")
+        return (compare(workdir / "parses-old.jsonl", workdir / "parses-new.jsonl", PARSE_FIELDS, "parses")
+                or compare(workdir / "runs-old.jsonl", workdir / "runs-new.jsonl", FIELDS, "runs"))
 
 
 if __name__ == "__main__":

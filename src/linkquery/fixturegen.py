@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .engine import plan_order
+from .engine import ALL_SETUPS, plan_order
 from .query import (
     BgpQuery,
     QueryClass,
@@ -60,7 +60,7 @@ from .rdf import (
     term_to_text,
 )
 
-SETUP_NAMES = ("base", "select", "seealso", "sameas", "rhodf", "combined")
+SETUP_NAMES = tuple(s.value for s in ALL_SETUPS)
 
 
 class FixtureInvariantError(RuntimeError):

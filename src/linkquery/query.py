@@ -193,7 +193,7 @@ def parse_query(text: str, query_id: str = "q") -> BgpQuery:
             try:
                 t, i = _scan_pattern_term(text, i)
             except TermScanError as e:
-                raise QuerySyntaxError(e.msg, e.pos) from None
+                raise QuerySyntaxError(str(e), e.pos) from None
             except ValueError as e:
                 raise QuerySyntaxError(str(e), i) from None
             terms.append(t)

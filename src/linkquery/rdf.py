@@ -1,9 +1,19 @@
-"""RDF data model and N-Triples I/O.
+r"""RDF data model and N-Triples I/O.
 
 Terms are immutable. Blank nodes carry a document scope identifier so that
 labels coming from different sources never collide once documents are merged
 into one store. The parser is line based and lenient: a malformed line is
 reported with its line number and skipped, it never aborts the document.
+
+The reader accepts this dialect of N-Triples:
+
+- one triple per line, lines split on ``\n`` only, with a ``\r`` before it
+  stripped; U+0085 and U+2028 are ordinary characters;
+- spaces and tabs between terms are optional;
+- ``\uXXXX`` and ``\UXXXXXXXX`` are the only escapes allowed in IRIs;
+  literals also allow ``\t \b \n \r \f \" \' \\``;
+- a ``# comment`` may follow the terminating ``.``, or fill a line;
+- any other line is recorded as a ParseError for that line and skipped.
 """
 
 from __future__ import annotations
@@ -15,9 +25,8 @@ from typing import Iterable, Union
 # Absolute IRI with a scheme, restricted to characters that survive the
 # <...> serialization unescaped.
 _IRI_RE = re.compile(r'^[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^\x60\\]*$')
-_BNODE_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
-_LANG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
-_HEX = "0123456789abcdefABCDEF"
+_BNODE_LABEL = r"[A-Za-z_][A-Za-z0-9_\-]*"
+_BNODE_LABEL_RE = re.compile(_BNODE_LABEL)
 
 _STRING_ESCAPES = {
     "t": "\t",
@@ -29,6 +38,25 @@ _STRING_ESCAPES = {
     "'": "'",
     "\\": "\\",
 }
+# The writer escapes \ " \n \r \t as the reader's table spells them, and
+# every other code point below 0x20 as \uXXXX.
+_LITERAL_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04X}" for c in range(0x20)} | {_STRING_ESCAPES[k]: "\\" + k for k in '\\"nrt'}
+)
+
+# The term grammar. Each repeated body is written as an unrolled loop,
+# plain* (escape plain*)*, so that a line with no closing quote or bracket
+# fails in linear time. \U stops at U+10FFFF.
+_UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}"
+_IRI_BODY = rf"<([^>\\]*(?:(?:{_UCHAR})[^>\\]*)*)>"
+_TERM_RE = re.compile(
+    rf"[ \t]*(?:{_IRI_BODY}|_:({_BNODE_LABEL})"
+    rf'|"([^"\\]*(?:(?:{_UCHAR}|\\[tbnrf"\'\\])[^"\\]*)*)"'
+    rf"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^{_IRI_BODY})?)"
+)
+_ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
+_BLANK_LINE_RE = re.compile(r"[ \t]*(?:#|$)")
+_LINE_END_RE = re.compile(r"[ \t]*\.[ \t]*(?:#.*)?$")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,139 +170,46 @@ OWL_SAMEAS = Iri(OWL_NS + "sameAs")
 class TermScanError(ValueError):
     def __init__(self, msg: str, pos: int) -> None:
         super().__init__(msg)
-        self.msg = msg
         self.pos = pos
 
 
-def skip_ws(s: str, i: int) -> int:
-    n = len(s)
-    while i < n and s[i] in " \t":
-        i += 1
-    return i
+def _unescape(body: str) -> str:
+    return _ESCAPE_RE.sub(_decode_escape, body) if "\\" in body else body
 
 
-def _decode_numeric_escape(s: str, i: int, width: int) -> tuple[str, int]:
-    # i points at the first hex digit; width is 4 or 8
-    end = i + width
-    if end > len(s) or any(c not in _HEX for c in s[i:end]):
-        raise TermScanError("bad numeric escape", i)
-    code = int(s[i:end], 16)
-    try:
-        return chr(code), end
-    except ValueError:
-        raise TermScanError("escape out of range", i) from None
-
-
-def _unescape_iri(raw: str, base_pos: int) -> str:
-    if "\\" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        c = raw[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise TermScanError("dangling escape in IRI", base_pos + i)
-        kind = raw[i + 1]
-        if kind == "u":
-            ch, i = _decode_numeric_escape(raw, i + 2, 4)
-        elif kind == "U":
-            ch, i = _decode_numeric_escape(raw, i + 2, 8)
-        else:
-            raise TermScanError("bad escape in IRI", base_pos + i)
-        out.append(ch)
-    return "".join(out)
+def _decode_escape(m: re.Match) -> str:
+    code = m[1]
+    return _STRING_ESCAPES.get(code) or chr(int(code[1:], 16))
 
 
 def scan_term(s: str, i: int, scope: str) -> tuple[Term, int]:
-    """Scan one N-Triples term starting at position i. Returns (term, next)."""
-    n = len(s)
-    if i >= n:
-        raise TermScanError("expected a term", i)
-    c = s[i]
-    if c == "<":
-        j = s.find(">", i + 1)
-        if j < 0:
-            raise TermScanError("unterminated IRI", i)
-        raw = _unescape_iri(s[i + 1 : j], i + 1)
-        try:
-            return Iri(raw), j + 1
-        except ValueError as e:
-            raise TermScanError(str(e), i) from None
-    if c == "_":
-        if i + 1 >= n or s[i + 1] != ":":
-            raise TermScanError("expected ':' after '_'", i)
-        m = _BNODE_LABEL_RE.match(s, i + 2)
-        if not m:
-            raise TermScanError("bad blank node label", i)
-        return BlankNode(m.group(0), scope), m.end()
-    if c == '"':
-        out: list[str] = []
-        j = i + 1
-        while True:
-            if j >= n:
-                raise TermScanError("unterminated literal", i)
-            ch = s[j]
-            if ch == '"':
-                j += 1
-                break
-            if ch == "\\":
-                if j + 1 >= n:
-                    raise TermScanError("dangling escape in literal", j)
-                k = s[j + 1]
-                if k in _STRING_ESCAPES:
-                    out.append(_STRING_ESCAPES[k])
-                    j += 2
-                elif k == "u":
-                    ch2, j = _decode_numeric_escape(s, j + 2, 4)
-                    out.append(ch2)
-                elif k == "U":
-                    ch2, j = _decode_numeric_escape(s, j + 2, 8)
-                    out.append(ch2)
-                else:
-                    raise TermScanError("bad escape in literal", j)
-            else:
-                out.append(ch)
-                j += 1
-        lexical = "".join(out)
-        if j < n and s[j] == "@":
-            m = _LANG_RE.match(s, j + 1)
-            if not m:
-                raise TermScanError("bad language tag", j)
-            return Literal(lexical, language=m.group(0)), m.end()
-        if j + 1 < n and s[j] == "^" and s[j + 1] == "^":
-            if j + 2 >= n or s[j + 2] != "<":
-                raise TermScanError("expected datatype IRI", j)
-            dt, j2 = scan_term(s, j + 2, scope)
-            assert isinstance(dt, Iri)
-            return Literal(lexical, datatype=dt.value), j2
-        return Literal(lexical), j
-    raise TermScanError(f"unexpected character {c!r}", i)
+    """Scan one N-Triples term at position i, after any spaces or tabs.
+
+    Returns (term, next). Raises TermScanError where no term starts, and
+    ValueError for an IRI that does not validate.
+    """
+    m = _TERM_RE.match(s, i)
+    if m is None:
+        raise TermScanError("expected an IRI, a blank node or a literal", i)
+    iri, label, lexical, language, datatype = m.groups()
+    if iri is not None:
+        return Iri(_unescape(iri)), m.end()
+    if label is not None:
+        return BlankNode(label, scope), m.end()
+    if datatype is not None:
+        datatype = Iri(_unescape(datatype)).value
+    return Literal(_unescape(lexical), datatype, language), m.end()
 
 
 def _parse_line(line: str, scope: str) -> Triple | None:
-    """Parse one line; returns None for blank/comment lines, raises TermScanError."""
-    i = skip_ws(line, 0)
-    if i >= len(line) or line[i] == "#":
+    """Parse one line; returns None for blank/comment lines, raises ValueError."""
+    if _BLANK_LINE_RE.match(line):
         return None
-    subject, i = scan_term(line, i, scope)
-    if isinstance(subject, Literal):
-        raise TermScanError("literal in subject position", 0)
-    i = skip_ws(line, i)
+    subject, i = scan_term(line, 0, scope)
     predicate, i = scan_term(line, i, scope)
-    if not isinstance(predicate, Iri):
-        raise TermScanError("predicate must be an IRI", i)
-    i = skip_ws(line, i)
     obj, i = scan_term(line, i, scope)
-    i = skip_ws(line, i)
-    if i >= len(line) or line[i] != ".":
-        raise TermScanError("expected '.' terminator", i)
-    i = skip_ws(line, i + 1)
-    if i < len(line) and line[i] != "#":
-        raise TermScanError("trailing content after '.'", i)
+    if not _LINE_END_RE.match(line, i):
+        raise TermScanError("expected '.' and at most a comment after it", i)
     return Triple(subject, predicate, obj)
 
 
@@ -301,35 +236,12 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
             line = line[:-1]
         try:
             t = _parse_line(line, doc_scope)
-        except TermScanError as e:
-            errors.append(ParseError(lineno, e.msg))
-            continue
-        except ValueError as e:  # term constructor rejections
+        except ValueError as e:  # scan errors and term constructor rejections
             errors.append(ParseError(lineno, str(e)))
             continue
         if t is not None:
             triples.append(t)
     return triples, errors
-
-
-def _escape_literal(s: str) -> str:
-    out: list[str] = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
 
 
 def term_to_text(term: Term, bnode_label: str | None = None) -> str:
@@ -338,7 +250,7 @@ def term_to_text(term: Term, bnode_label: str | None = None) -> str:
         return f"<{term.value}>"
     if isinstance(term, BlankNode):
         return f"_:{bnode_label or term.label}"
-    lex = f'"{_escape_literal(term.lexical)}"'
+    lex = f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
     if term.language is not None:
         return f"{lex}@{term.language}"
     if term.datatype is not None:

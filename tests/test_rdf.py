@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -90,6 +91,52 @@ def test_scan_term_error_carries_position():
     with pytest.raises(TermScanError) as exc:
         scan_term("<http://unterminated", 0, scope="d")
     assert exc.value.pos >= 0
+
+
+_S, _P = "<http://a.example/s>", "<http://a.example/p>"
+
+
+@pytest.mark.parametrize(
+    "line, accepted",
+    [
+        ("<http://a/s><http://a/p><http://a/o>.", True),  # no whitespace needed between terms
+        (f'{_S} {_P} "x"@en1 .', False),
+        (f'{_S} {_P} "x"^ .', False),
+        (f'{_S} {_P} "x"^^ .', False),
+        (f"<http://a/s\\t> {_P} <http://a/o> .", False),  # only \u and \U escape an IRI
+        (f"<http://a/\\U00110000> {_P} <http://a/o> .", False),
+        (f"<http://a/\\U0010FFFF> {_P} <http://a/o> .", True),
+        (f"_:-x {_P} <http://a/o> .", False),
+        (f'{_S} {_P} "a\u0085b" .', True),  # raw U+0085 and U+2028 are not line breaks
+        (f'{_S} {_P} "a\u2028b" .', True),
+        (f'{_S} {_P} "it\\\'s" .', True),
+        (f"{_S} {_P} <http://a/o> . # comment", True),
+        (f"{_S} {_P} <http://a/o> . x", False),
+    ],
+)
+def test_accepted_dialect(line, accepted):
+    triples, errors = parse_ntriples(line, doc_scope="d")
+    if accepted:
+        assert (len(triples), errors) == (1, [])
+    else:
+        assert triples == [] and [e.line for e in errors] == [1] and errors[0].reason
+
+
+@pytest.mark.parametrize(
+    "line, n_triples",
+    [
+        (f'{_S} {_P} "' + '\\"' * 300_000, 0),  # unterminated literal of escaped quotes
+        (f'{_S} {_P} "' + "a" * 600_000, 0),  # unterminated plain literal
+        ("<" * 600_000, 0),
+        ("_:" + "b" * 600_000 + f" {_P} <http://a/o> .", 1),
+        (f'{_S} {_P} "x"@a' + "-a" * 300_000 + " .", 1),
+    ],
+)
+def test_hostile_lines_parse_in_linear_time(line, n_triples):
+    start = time.perf_counter()
+    triples, errors = parse_ntriples(line, doc_scope="d")
+    assert time.perf_counter() - start < 2.0
+    assert (len(triples), len(errors)) == (n_triples, 1 - n_triples)
 
 
 def test_iri_rejects_relative_and_spaces():
