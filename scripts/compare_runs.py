@@ -14,11 +14,11 @@ benchmark does.
 
 The parse stage comes first.  OLD_ROOT also writes a parse corpus once:
 ``CORPUS_LINES`` seeded lines put together from N-Triples term fragments,
-good and bad escapes, language tags, datatypes and stray characters, and
-``CORPUS_BYTES`` seeded random byte strings.  Each root parses every corpus
-entry and every ``.nt`` document of the webs with ``parse_ntriples``; the
-stage compares each entry's triples (term text plus blank-node scope) and
-the line numbers of its errors.
+good and bad escapes, language tags, datatypes, term boundaries and stray
+characters, and ``CORPUS_BYTES`` seeded random byte strings.  Each root
+parses every corpus entry and every ``.nt`` document of the webs with
+``parse_ntriples``; the stage compares each entry's triples (term text plus
+blank-node scope) and the line numbers of its errors.
 
 The run stage follows.  For each (web, query, setup) run it compares the
 answer keys, the four counts (Results, HTTP, Retrieved, Inferred),
@@ -51,17 +51,22 @@ CORPUS_SEED = 20140225
 
 # Fragments the corpus lines are put together from, each as a pair of
 # (well-formed, near misses), so that both sides of every rule of the term
-# grammar are exercised while about half of the lines still parse.
+# grammar are exercised while about half of the lines still parse.  The
+# near misses include the term boundaries where a whole-line match could end
+# a term elsewhere than the term scanner: a label running into another blank
+# node, a tag followed by '-' or '.', and (with the empty separator and the
+# '.' end) terms and ends with no space between them.
 IRIS = (("<http://a.example/s>", "<http://a/p>", "<urn:x>", "<http://a/\\u0041>", "<http://a/\\U0001F600>",
          "<http://a/\\U0010FFFF>", "<http://a/\u0085>", "<http://a/\\uD800>"),
         ("<http://a/\\u003E>", "<http://a/\\u00>", "<http://a/\\U00110000>", "<http://a/\\t>", "<http://a/\\>",
          "<http://a/\t>", "<rel>", "<>", "<http://a/ b>", "<http://a", "<<http://a/>>"))
-BNODES = (("_:b0", "_:x_1-2", "_:_"), ("_:-x", "_:", "_x", "_:\u00e9"))
+BNODES = (("_:b0", "_:x_1-2", "_:_", "_:a_", "_:a-"), ("_:-x", "_:", "_x", "_:\u00e9", "_:a_:b"))
 BODIES = (("", "plain", "sp ace", "\\t", "\\b\\n\\r\\f", '\\"', "\\'", "\\\\", "\\u00E9", "\\U0001F600",
            "\\U0010FFFF", "\u0085", "\u2028", "\r", "\t", "<", ">", "'", "#", "@", "^"),
           ("\\u00", "\\U00110000", "\\x", "\\", '"'))
-TAGS = (("", "", "", "@en", "@en-US", "^^<http://a/dt>", "^^<http://a/\\u0041>"),
-        ("@en1", "@", "@-x", "@en-", "^", "^^", "^^<>", "^^x", "^^_:b", "@en^^<http://a/dt>"))
+TAGS = (("", "", "", "@en", "@en-US", "@en-1a", "^^<http://a/dt>", "^^<http://a/\\u0041>"),
+        ("@en1", "@", "@-x", "@en-", "@en-1a.", "@en-_:b", "^", "^^", "^^<>", "^^x", "^^_:b",
+         "@en^^<http://a/dt>"))
 SEPS = (("", " ", " ", "\t", "  "), ("\r", "\u0085", "\u2028"))
 ENDS = ((" .", ".", " . # c", " .# c", " . \t"), (" . x", "", " ..", " #c", " .\r", ". ."))
 STRAYS = ("<", ">", '"', "\\", "\r", "\u0085", "\u2028", "@", "^", "_", ":", ".", "#", " ", "\t", "\\u")

@@ -428,7 +428,7 @@ def execute(
     canon_pats: list[TriplePattern] = [canonical_pattern(p, store.equiv) for p in query.patterns]
     evaluator = IncrementalEvaluator(canon_pats)
 
-    requested: set[str] = set()
+    requested: set[Iri] = set()
     pending: deque[tuple[Iri, str]] = deque()
     events: list[FetchEvent] = []
     raw_order: list[Triple] = []
@@ -440,8 +440,8 @@ def execute(
     proj_vars = tuple(sorted(set(query.projected)))
 
     def want(iri: Iri, reason: str) -> None:
-        if iri.value not in requested:
-            requested.add(iri.value)
+        if iri not in requested:
+            requested.add(iri)
             pending.append((iri, reason))
 
     def follow_links(canon: Term) -> None:

@@ -143,7 +143,7 @@ def validate_query(q: BgpQuery) -> None:
 
 
 def _scan_pattern_term(s: str, i: int) -> tuple[PatternTerm, int]:
-    if s[i] == "?":
+    if s.startswith("?", i):
         m = _VAR_RE.match(s, i)
         if not m:
             raise TermScanError("bad variable name", i)

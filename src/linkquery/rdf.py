@@ -1,9 +1,14 @@
 r"""RDF data model and N-Triples I/O.
 
-Terms are immutable. Blank nodes carry a document scope identifier so that
-labels coming from different sources never collide once documents are merged
-into one store. The parser is line based and lenient: a malformed line is
-reported with its line number and skipped, it never aborts the document.
+Terms are immutable builtin values, so that they hash and compare in C: an
+``Iri`` is a ``str`` and equals and hashes as its text; a ``BlankNode`` is
+the tuple ``(label, scope)``, a ``Literal`` the tuple ``(lexical, datatype,
+language)`` and a ``Triple`` the tuple of its three terms, and each equals
+the plain tuple it holds. Terms of different kinds never compare equal.
+Blank nodes carry a document scope identifier so that labels coming from
+different sources never collide once documents are merged into one store.
+The parser is line based and lenient: a malformed line is reported with its
+line number and skipped, it never aborts the document.
 
 The reader accepts this dialect of N-Triples:
 
@@ -12,6 +17,9 @@ The reader accepts this dialect of N-Triples:
 - spaces and tabs between terms are optional;
 - ``\uXXXX`` and ``\UXXXXXXXX`` are the only escapes allowed in IRIs;
   literals also allow ``\t \b \n \r \f \" \' \\``;
+- an IRI, once its escapes are decoded, must still pass the IRI check, so
+  ``<http://a/s\u000A>`` is rejected like any other IRI with a control
+  character;
 - a ``# comment`` may follow the terminating ``.``, or fill a line;
 - any other line is recorded as a ParseError for that line and skipped.
 """
@@ -19,12 +27,13 @@ The reader accepts this dialect of N-Triples:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Union
 
 # Absolute IRI with a scheme, restricted to characters that survive the
 # <...> serialization unescaped.
-_IRI_RE = re.compile(r'^[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^\x60\\]*$')
+_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^\x60\\]*')
 _BNODE_LABEL = r"[A-Za-z_][A-Za-z0-9_\-]*"
 _BNODE_LABEL_RE = re.compile(_BNODE_LABEL)
 
@@ -49,94 +58,111 @@ _LITERAL_ESCAPES = str.maketrans(
 # fails in linear time. \U stops at U+10FFFF.
 _UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}"
 _IRI_BODY = rf"<([^>\\]*(?:(?:{_UCHAR})[^>\\]*)*)>"
-_TERM_RE = re.compile(
-    rf"[ \t]*(?:{_IRI_BODY}|_:({_BNODE_LABEL})"
-    rf'|"([^"\\]*(?:(?:{_UCHAR}|\\[tbnrf"\'\\])[^"\\]*)*)"'
-    rf"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^{_IRI_BODY})?)"
+_BNODE = rf"_:({_BNODE_LABEL})"
+_LITERAL_BODY = rf'"([^"\\]*(?:(?:{_UCHAR}|\\[tbnrf"\'\\])[^"\\]*)*)"'
+_LANG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
+_TERM_RE = re.compile(rf"[ \t]*(?:{_IRI_BODY}|{_BNODE}|{_LITERAL_BODY}(?:{_LANG}|\^\^{_IRI_BODY})?)")
+_LINE_END = r"[ \t]*\.[ \t]*(?:#.*)?"
+# A whole valid triple line in one match: an IRI or blank-node subject, an
+# IRI predicate, any object, then the end. A label or a tag can only be
+# followed here by a space, a tab, '<' or '.', none of which could continue
+# it, so each group ends where the term scanner ends that term.
+_LINE_RE = re.compile(
+    rf"[ \t]*(?:{_IRI_BODY}|{_BNODE})[ \t]*{_IRI_BODY}"
+    rf"[ \t]*(?:{_IRI_BODY}|{_BNODE}|{_LITERAL_BODY}(?:{_LANG}|\^\^{_IRI_BODY})?)"
+    + _LINE_END
 )
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _BLANK_LINE_RE = re.compile(r"[ \t]*(?:#|$)")
-_LINE_END_RE = re.compile(r"[ \t]*\.[ \t]*(?:#.*)?$")
+_LINE_END_RE = re.compile(_LINE_END)
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    """An absolute IRI."""
+class Iri(str):
+    """An absolute IRI: a ``str`` whose text passed the IRI check."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _IRI_RE.match(self.value):
-            raise ValueError(f"not an absolute IRI: {self.value!r}")
+    def __new__(cls, value: str) -> Iri:
+        if not _IRI_RE.fullmatch(value):
+            raise ValueError(f"not an absolute IRI: {value!r}")
+        return str.__new__(cls, value)
 
-    def __hash__(self) -> int:
-        return hash(self.value)
+    # A copy of the text as a plain ``str``; the Iri itself is the cheaper key.
+    value = property(str.__str__)
 
     def __repr__(self) -> str:
-        return f"Iri({self.value!r})"
+        return f"Iri({str.__repr__(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
+class BlankNode(tuple):
     """A blank node label together with the scope (document) that minted it."""
 
-    label: str
-    scope: str
+    __slots__ = ()
+    label = property(itemgetter(0))
+    scope = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if not _BNODE_LABEL_RE.fullmatch(self.label):
-            raise ValueError(f"bad blank node label: {self.label!r}")
+    def __new__(cls, label: str, scope: str) -> BlankNode:
+        if not _BNODE_LABEL_RE.fullmatch(label):
+            raise ValueError(f"bad blank node label: {label!r}")
+        return tuple.__new__(cls, (label, scope))
+
+    def __reduce__(self):
+        return (BlankNode, tuple(self))
+
+    def __repr__(self) -> str:
+        return f"BlankNode(label={self[0]!r}, scope={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(tuple):
     """A literal with an optional datatype IRI or language tag (not both)."""
 
-    lexical: str
-    datatype: str | None = None
-    language: str | None = None
+    __slots__ = ()
+    lexical = property(itemgetter(0))
+    datatype = property(itemgetter(1))
+    language = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+    def __new__(cls, lexical: str, datatype: str | None = None, language: str | None = None) -> Literal:
+        if datatype is not None and language is not None:
             raise ValueError("literal cannot carry both a datatype and a language tag")
+        return tuple.__new__(cls, (lexical, datatype, language))
+
+    def __reduce__(self):
+        return (Literal, tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Literal(lexical={self[0]!r}, datatype={self[1]!r}, language={self[2]!r})"
 
 
 Term = Union[Iri, BlankNode, Literal]
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """An RDF triple.
+class Triple(tuple):
+    """An RDF triple: the tuple of its subject, predicate and object terms.
 
-    Its hash is computed once, at construction, and kept in ``_hash``: the
-    store, the chainer and the evaluator look every triple up in several
-    sets and dicts, and a dataclass would hash three terms again each time.
-    That hash is derived from ``str`` hashes, which Python salts per
-    process, so it must never be copied across a process boundary;
-    ``__reduce__`` makes pickling rebuild the triple through the
-    constructor, which hashes it afresh.
+    Pickling rebuilds a triple through the constructor, so it is checked
+    again on the way in.
     """
 
-    subject: Term
-    predicate: Term
-    object: Term
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> Triple:
+        if isinstance(subject, Literal):
             raise ValueError("triple subject cannot be a literal")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, (subject, predicate, object))
 
     def __reduce__(self):
-        return (Triple, (self.subject, self.predicate, self.object))
+        return (Triple, tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
 
     def terms(self) -> tuple[Term, Term, Term]:
-        return (self.subject, self.predicate, self.object)
+        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +234,7 @@ def _parse_line(line: str, scope: str) -> Triple | None:
     subject, i = scan_term(line, 0, scope)
     predicate, i = scan_term(line, i, scope)
     obj, i = scan_term(line, i, scope)
-    if not _LINE_END_RE.match(line, i):
+    if not _LINE_END_RE.fullmatch(line, i):
         raise TermScanError("expected '.' and at most a comment after it", i)
     return Triple(subject, predicate, obj)
 
@@ -226,21 +252,49 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
         text = data
     triples: list[Triple] = []
     errors: list[ParseError] = []
+    iris: dict[str, Iri] = {}  # one Iri per distinct IRI body in the document
+    known = iris.get
+
+    def iri(body: str) -> Iri:
+        got = iris[body] = Iri(_unescape(body))
+        return got
+
     # split on \n / \r\n only: exotic codepoints like U+0085 or U+2028 are
     # ordinary content inside terms, not line breaks
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    line_match = _LINE_RE.fullmatch
     for lineno, line in enumerate(lines, start=1):
         if line.endswith("\r"):
             line = line[:-1]
+        m = line_match(line)
         try:
-            t = _parse_line(line, doc_scope)
-        except ValueError as e:  # scan errors and term constructor rejections
+            if m is None:  # blank, comment or malformed: the term scanner decides
+                t = _parse_line(line, doc_scope)
+                if t is not None:
+                    triples.append(t)
+                continue
+            s_iri, s_label, p, o_iri, o_label, lexical, language, datatype = m.groups()
+            if s_iri is not None:
+                s = known(s_iri) or iri(s_iri)
+            else:
+                s = BlankNode(s_label, doc_scope)
+            p = known(p) or iri(p)
+            if o_iri is not None:
+                o = known(o_iri) or iri(o_iri)
+            elif o_label is not None:
+                o = BlankNode(o_label, doc_scope)
+            else:
+                if datatype is not None:
+                    datatype = (known(datatype) or iri(datatype)).value
+                # The line regex admits a tag or a datatype, never both.
+                o = tuple.__new__(Literal, (_unescape(lexical), datatype, language))
+        except ValueError as e:  # scan errors and IRIs that fail their check
             errors.append(ParseError(lineno, str(e)))
             continue
-        if t is not None:
-            triples.append(t)
+        # The line regex admits no literal subject and only an IRI predicate.
+        triples.append(tuple.__new__(Triple, (s, p, o)))
     return triples, errors
 
 

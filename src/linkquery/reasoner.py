@@ -74,7 +74,7 @@ class EquivalenceClasses:
                 self._members[ra] = {a} if a == b else {a, b}
             return frozenset()
         self.version += 1
-        winner, loser = (ra, rb) if ra.value < rb.value else (rb, ra)
+        winner, loser = (ra, rb) if ra < rb else (rb, ra)
         moved = self._members.pop(loser, {loser})
         group = self._members.setdefault(winner, {winner})
         group |= moved
@@ -281,7 +281,7 @@ class ReasoningStore:
                 gone = self.equiv.merge(t.subject, t.object)
                 if gone:
                     moved |= gone
-                    retired.append(min(gone, key=lambda i: i.value))  # the loser's old representative
+                    retired.append(min(gone))  # the loser's old representative
         delta = ViewDelta(fresh, retired)
         delta.rechained = self.use_rhodf and not moved.isdisjoint(RHO_VOCABULARY)
         if moved:
@@ -301,7 +301,7 @@ class ReasoningStore:
                 self._chainer = _RhoChainer()
                 self._chainer.rule_counts = counts
             delta.rekeyed = list(dict.fromkeys(
-                t for iri in sorted(moved, key=lambda i: i.value) for t in self._raw_by_iri.get(iri, ())
+                t for iri in sorted(moved) for t in self._raw_by_iri.get(iri, ())
             ))
         for t in fresh:
             for term in t.terms():

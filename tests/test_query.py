@@ -17,6 +17,7 @@ from linkquery.query import (
     type_class_constants,
     validate_query,
 )
+from linkquery.fixturegen import WebSpec, generate_web
 from linkquery.rdf import RDF_TYPE, Iri, Literal
 
 E = Iri("http://x.example/e")
@@ -251,3 +252,16 @@ def test_classify_total_on_valid_queries(patterns):
 def test_binding_text_sorts_variables():
     text = binding_text({"b": E, "a": Literal("1")})
     assert text == '?a="1"\t?b=<http://x.example/e>'
+
+
+def test_every_prefix_of_a_suite_query_is_a_syntax_error(tmp_path):
+    """Text that ends early, within a term or after a comment, is a QuerySyntaxError."""
+    web = generate_web(WebSpec(seed=3), tmp_path / "w3")
+    texts = [line.split("\t", 2)[2] for line in web.suite_path.read_text(encoding="utf-8").splitlines()]
+    assert texts
+    for text in texts:
+        for full in (text, text.replace(" ", " # c\n")):
+            parse_query(full)
+            for k in range(len(full)):
+                with pytest.raises(QuerySyntaxError):
+                    parse_query(full[:k])

@@ -5,14 +5,17 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkquery.query import Variable
 from linkquery.rdf import (
     BlankNode,
     Iri,
     Literal,
+    ParseError,
     Triple,
+    _parse_line,
     parse_ntriples,
     scan_term,
     serialize_ntriples,
@@ -112,6 +115,7 @@ _S, _P = "<http://a.example/s>", "<http://a.example/p>"
         (f'{_S} {_P} "it\\\'s" .', True),
         (f"{_S} {_P} <http://a/o> . # comment", True),
         (f"{_S} {_P} <http://a/o> . x", False),
+        (f"<http://a/s\\u000A> {_P} <http://a/o> .", False),  # a decoded IRI is checked like any other
     ],
 )
 def test_accepted_dialect(line, accepted):
@@ -139,11 +143,51 @@ def test_hostile_lines_parse_in_linear_time(line, n_triples):
     assert (len(triples), len(errors)) == (n_triples, 1 - n_triples)
 
 
+# Term fragments, among them the places where a whole-line match could end a
+# term elsewhere than the term scanner does: a label running into another
+# blank node, a tag followed by '-' or '.', a datatype or a tag right before
+# the '.', and terms with no space between them.
+_TERMS = (
+    "<http://a/s>", "<http://a/p>", "<http://a/\\u0041>", "<rel>", "<http://a/\\u0020>", "<http://a",
+    "_:a", "_:a_", "_:a_:b", "_:a-", "_:",
+    '"x"', '"x"@en', '"x"@en-', '"x"@en-1a', '"x"@en-1a.', '"x"^^<http://a/d>', '"x"^^<http://a/d>.',
+    '"x"^^<rel>', '"\\t\\u00E9"', '"x"@', '"x"^^', '"x',
+)
+_GAPS = ("", "", " ", "\t")
+_ENDS = (" .", ".", " . # c") * 4 + ("", " . x", "-", "_:b .", "#")
+# Valid subjects and predicates come up more often, so that about a quarter
+# of the lines built as three terms and an end are triples.
+_gap, _end = st.sampled_from(_GAPS), st.sampled_from(_ENDS)
+_subject = st.sampled_from(("<http://a/s>", "_:a", "_:a_", "_:a-") * 8 + _TERMS)
+_predicate = st.sampled_from(("<http://a/p>",) * 60 + _TERMS)
+_lines = st.one_of(
+    st.tuples(_gap, _subject, _gap, _predicate, _gap, st.sampled_from(_TERMS), _end).map("".join),
+    st.lists(st.sampled_from(_TERMS + _GAPS + _ENDS), max_size=9).map("".join),
+)
+
+
+def _scanned(line):
+    """What the term scanner alone makes of one line, as parse_ntriples reports it."""
+    try:
+        t = _parse_line(line, "d")
+    except ValueError as e:
+        return [], [ParseError(1, str(e))]
+    return [t] if t is not None else [], []
+
+
+@settings(max_examples=1000)
+@given(_lines)
+def test_line_regex_agrees_with_term_scanner(line):
+    assert parse_ntriples(line, doc_scope="d") == _scanned(line)
+
+
 def test_iri_rejects_relative_and_spaces():
     with pytest.raises(ValueError):
         Iri("no-scheme-here")
     with pytest.raises(ValueError):
         Iri("http://a.example/with space")
+    with pytest.raises(ValueError):
+        Iri("http://a/s\n")
 
 
 def test_triple_validation():
@@ -157,20 +201,55 @@ def test_triple_validation():
 
 
 def test_pickled_triple_is_found_under_another_hash_seed():
-    """A triple's cached hash is salted per process; unpickling must recompute it."""
-    line = '<http://a.example/s> <http://a.example/p> "v"@en .\n'
+    """Terms hash from salted ``str`` hashes; unpickling must hash them afresh."""
+    line = '_:b <http://a.example/p> "v"@en .\n'
     code = (
         "import pickle, sys; from linkquery.rdf import parse_ntriples; "
-        f"sys.stdout.buffer.write(pickle.dumps((hash('probe'), parse_ntriples({line!r}, 'd')[0][0])))"
+        f"t = parse_ntriples({line!r}, 'd')[0][0]; "
+        "sys.stdout.buffer.write(pickle.dumps((hash('probe'), t, t.subject, t.object)))"
     )
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60)
-        probe, triple = pickle.loads(out.stdout)
+        probe, triple, bnode, literal = pickle.loads(out.stdout)
         if probe != hash("probe"):
             break
     assert probe != hash("probe"), "the child process should hash strings differently"
     assert triple in set(parse_ntriples(line, "d")[0])
+    assert bnode in {BlankNode("b", "d")} and type(bnode) is BlankNode
+    assert literal in {Literal("v", language="en")} and type(literal) is Literal
+
+
+_A = "http://a/x"
+# Terms that share their text, and a query variable, none equal to another.
+_SAME_TEXT = (Iri(_A), Literal(_A), BlankNode("x", "d"), Literal("x"), Variable("x"), Variable(_A))
+
+
+@pytest.mark.parametrize(
+    "term, text, plain, field",
+    [
+        (Iri(_A), "Iri('http://a/x')", _A, "value"),
+        (BlankNode("x", "d"), "BlankNode(label='x', scope='d')", ("x", "d"), "label"),
+        (Literal("x", language="en"), "Literal(lexical='x', datatype=None, language='en')", ("x", None, "en"), "lexical"),
+        (Literal(_A), "Literal(lexical='http://a/x', datatype=None, language=None)", (_A, None, None), "datatype"),
+        (
+            Triple(Iri(_A), Iri(_A), Literal("x")),
+            "Triple(subject=Iri('http://a/x'), predicate=Iri('http://a/x'), "
+            "object=Literal(lexical='x', datatype=None, language=None))",
+            (_A, _A, ("x", None, None)),
+            "object",
+        ),
+    ],
+)
+def test_term_value_semantics(term, text, plain, field):
+    assert repr(term) == text
+    assert term == plain and hash(term) == hash(plain)
+    for other in _SAME_TEXT:
+        if type(other) is not type(term):
+            assert term != other and other != term
+    for name in (field, "other"):
+        with pytest.raises(AttributeError):
+            setattr(term, name, "y")
 
 
 def test_literal_rejects_datatype_and_language_together():
