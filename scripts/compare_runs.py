@@ -12,6 +12,13 @@ OLD_ROOT's generator, with every suite query under all six setups; with
 run uses ``FetchConfig(max_parallel=2)`` and default engine options, as the
 benchmark does.
 
+None of these manifests holds a ``DELAY``, so an engine that serves the hops
+of a resolver that never blocks on the calling thread runs them all there.
+Each chain web therefore runs a second time, as ``<name>-delay0``, through a
+copy of its manifest with every directive behind ``DELAY 0``, which sends
+its hops to the fetch pool; both ways are compared with OLD_ROOT's runs of
+the same copy.
+
 The parse stage comes first.  OLD_ROOT also writes a parse corpus once:
 ``CORPUS_LINES`` seeded lines put together from N-Triples term fragments,
 good and bad escapes, language tags, datatypes, term boundaries and stray
@@ -179,9 +186,10 @@ def parse_all(workdir: Path, webs: list[dict], out) -> None:
     corpus = json.loads((workdir / "corpus.json").read_text(encoding="utf-8"))
     for n, entry in enumerate(corpus):
         record(f"corpus{n}", entry.encode("latin-1"))
-    for web in webs:
-        for doc in sorted(Path(web["manifest"]).parent.rglob("*.nt")):
-            record(f"{web['name']}/{doc.name}", doc.read_bytes())
+    # A web's directory is named after it; the -delay0 copies share theirs.
+    for folder in dict.fromkeys(Path(web["manifest"]).parent for web in webs):
+        for doc in sorted(folder.rglob("*.nt")):
+            record(f"{folder.name}/{doc.name}", doc.read_bytes())
 
 
 def run_webs(webs: list[dict], out) -> None:
@@ -237,8 +245,12 @@ def add_chain_webs(seed: int, workdir: Path) -> list[dict]:
     webs = []
     for name in CHAIN_WORKLOADS:
         out = scalegen.generate(scalegen.PRESETS[name], seed, workdir / f"{name}{seed:03d}")
-        webs.append({"name": f"{name}{seed:03d}", "manifest": str(out / "manifest.tsv"),
-                     "suite": str(out / "suite.tsv"), "setups": list(scalegen.PRESETS[name].setups)})
+        web = {"name": f"{name}{seed:03d}", "manifest": str(out / "manifest.tsv"),
+               "suite": str(out / "suite.tsv"), "setups": list(scalegen.PRESETS[name].setups)}
+        rows = (line.split("\t", 1) for line in (out / "manifest.tsv").read_text(encoding="utf-8").splitlines())
+        pooled = out / "manifest.delay0.tsv"
+        pooled.write_text("".join(f"{iri}\tDELAY 0 THEN {directive}\n" for iri, directive in rows), encoding="utf-8")
+        webs += [web, {**web, "name": f"{web['name']}-delay0", "manifest": str(pooled)}]
     return webs
 
 

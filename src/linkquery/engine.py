@@ -37,11 +37,20 @@ chained again, the evaluator starts over from the store's live view.  The
 running evaluator's solutions are therefore the answers, and the live view
 gives Inferred.  For a fixed fixture web and an untruncated run, the
 reachable-document closure is order-independent, which makes Results, HTTP,
-Retrieved, and Inferred deterministic even though fetches run in parallel.
+Retrieved, and Inferred deterministic whichever way the hops are served.
 
-The deadline bounds the run's wall time: once it passes, every hop still out
-is recorded as skipped, the run is flagged truncated, and ``execute`` returns
-without waiting for the fetch workers.
+A resolver that never blocks (``may_block`` false: a fixture web without
+``DELAY``, a replay archive) has its hops served on the calling thread, one
+at a time in request order; handing an in-process lookup to a thread only
+adds interpreter-lock handoffs.  Only the hops of a resolver that can wait
+(live HTTP, a fixture web with ``DELAY``, or one that does not say) go to a
+pool of ``max_parallel`` workers, so that their waits overlap.
+
+The deadline bounds the run's wall time.  On the pool, once it passes, every
+hop still out is recorded as skipped, the run is flagged truncated, and
+``execute`` returns without waiting for the fetch workers.  On the calling
+thread, every hop started after it is skipped, so the run ends at most one
+hop and one document's processing past it.
 """
 
 from __future__ import annotations
@@ -538,10 +547,8 @@ def execute(
                 relevant.add(canon)
                 follow_links(canon)
 
-    deadline = t0 + cfg.deadline_ms / 1000.0
-    in_flight: dict[Future, tuple[Iri, str]] = {}
-
-    def record(iri: Iri, reason: str, res: DerefResult) -> None:
+    def take(iri: Iri, reason: str, res: DerefResult) -> None:
+        """Record a hop's outcome and process its document."""
         nonlocal truncated
         if res.status == DerefStatus.SKIPPED:
             truncated = True
@@ -556,34 +563,41 @@ def execute(
                 elapsed_s=res.elapsed_s,
             )
         )
+        if res.status == DerefStatus.OK and res.document is not None:
+            process_doc(res.document)
 
-    # Not a ``with`` block: joining the pool would wait out fetches that
-    # outlive the deadline.  Their workers finish in the background.
-    pool = ThreadPoolExecutor(max_workers=cfg.max_parallel)
-
-    def launch() -> None:
+    if not getattr(resolver, "may_block", True):
+        # The manager skips every hop started after the deadline.
         while pending:
             iri, reason = pending.popleft()
-            in_flight[pool.submit(manager.dereference, iri)] = (iri, reason)
+            take(iri, reason, manager.dereference(iri))
+    else:
+        deadline = t0 + cfg.deadline_ms / 1000.0
+        in_flight: dict[Future, tuple[Iri, str]] = {}
+        # Not a ``with`` block: joining the pool would wait out fetches that
+        # outlive the deadline.  Their workers finish in the background.
+        pool = ThreadPoolExecutor(max_workers=cfg.max_parallel)
 
-    try:
-        launch()
-        while in_flight:
-            done, _ = wait(list(in_flight), timeout=max(0.0, deadline - clk.now()), return_when=FIRST_COMPLETED)
-            if not done:
-                # The deadline passed: every hop still out, started or queued, is skipped.
-                for iri, reason in in_flight.values():
-                    record(iri, reason, DerefResult(iri=iri, status=DerefStatus.SKIPPED, detail="deadline exhausted"))
-                break
-            for fut in done:
-                iri, reason = in_flight.pop(fut)
-                res: DerefResult = fut.result()
-                record(iri, reason, res)
-                if res.status == DerefStatus.OK and res.document is not None:
-                    process_doc(res.document)
+        def launch() -> None:
+            while pending:
+                iri, reason = pending.popleft()
+                in_flight[pool.submit(manager.dereference, iri)] = (iri, reason)
+
+        try:
             launch()
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+            while in_flight:
+                done, _ = wait(list(in_flight), timeout=max(0.0, deadline - clk.now()), return_when=FIRST_COMPLETED)
+                if not done:
+                    # The deadline passed: every hop still out, started or queued, is skipped.
+                    for iri, reason in in_flight.values():
+                        take(iri, reason, DerefResult(iri=iri, status=DerefStatus.SKIPPED, detail="deadline exhausted"))
+                    break
+                for fut in done:
+                    iri, reason = in_flight.pop(fut)
+                    take(iri, reason, fut.result())
+                launch()
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     final = store.finalize()
     by_key: dict[str, Binding] = {}

@@ -14,6 +14,13 @@ another thread is performing.  Resolvers come in four flavours:
 * ``RecordResolver`` wraps another resolver and writes such an archive,
 * ``LiveResolver`` talks real HTTP (imported lazily, only flavour that does).
 
+Each resolver also states, as the read-only ``may_block``, whether a hop can
+wait on something outside the process: a fixture web can when its manifest
+holds a ``DELAY`` directive, a replay archive never does, live HTTP always
+does, and a recorder says what the resolver it wraps says.  The engine
+serves the hops of a resolver that never blocks on the calling thread, and
+overlaps the hops of one that can on a pool of ``max_parallel`` workers.
+
 Archive layout, per hop record, little-endian:
 u32 iri length, iri bytes, u32 final-iri length, final-iri bytes (the
 redirect target for 3xx hops, the iri itself otherwise), u16 status
@@ -85,6 +92,16 @@ class RawResponse:
 class Resolver(Protocol):
     is_local: bool
 
+    @property
+    def may_block(self) -> bool:
+        """Whether a hop can wait on something outside the process.
+
+        A network request can, and so can a fixture ``DELAY``; a lookup in
+        memory or a read of a local file cannot.  The resolver fixes it and
+        no caller sets it.  The engine takes a resolver that does not
+        declare it to block.
+        """
+
     def resolve(self, iri: str, timeout_s: float) -> RawResponse: ...
 
 
@@ -132,7 +149,8 @@ class FixtureResolver:
 
     Each line maps an IRI to a directive: ``FILE relative/path.nt``,
     ``REDIRECT <iri>``, ``STATUS <code>``, or ``DELAY <ms> THEN <directive>``.
-    IRIs absent from the manifest 404.
+    IRIs absent from the manifest 404.  It may block exactly when some line
+    is a ``DELAY``.
     """
 
     is_local = True
@@ -143,6 +161,7 @@ class FixtureResolver:
             path = path / "manifest.tsv"
         self._clock: Clock = clock or RealClock()
         self._actions: dict[str, _Action] = {}
+        self._may_block = False
         base = path.parent
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
@@ -151,7 +170,12 @@ class FixtureResolver:
                 iri, directive = line.split("\t", 1)
             except ValueError:
                 raise ValueError(f"manifest line {lineno}: expected '<iri>\\t<directive>'") from None
-            self._actions[iri.strip()] = _parse_directive(directive.strip(), base, lineno)
+            action = self._actions[iri.strip()] = _parse_directive(directive.strip(), base, lineno)
+            self._may_block |= action[0] == "delay"
+
+    @property
+    def may_block(self) -> bool:
+        return self._may_block
 
     def __len__(self) -> int:
         return len(self._actions)
@@ -229,6 +253,10 @@ class RecordResolver:
     def is_local(self) -> bool:
         return self._inner.is_local
 
+    @property
+    def may_block(self) -> bool:
+        return getattr(self._inner, "may_block", True)
+
     def resolve(self, iri: str, timeout_s: float) -> RawResponse:
         try:
             resp = self._inner.resolve(iri, timeout_s)
@@ -268,6 +296,10 @@ class ReplayResolver:
             # First record wins; a well-formed archive has one per hop IRI.
             self._responses.setdefault(iri, (final, status, body))
 
+    @property
+    def may_block(self) -> bool:
+        return False
+
     def __len__(self) -> int:
         return len(self._responses)
 
@@ -288,6 +320,10 @@ class LiveResolver:
     """Real HTTP, one hop per call.  Only used when explicitly requested."""
 
     is_local = False
+
+    @property
+    def may_block(self) -> bool:
+        return True
 
     def __init__(self) -> None:
         import requests  # deferred so offline use never needs it

@@ -1,4 +1,5 @@
 import random
+import threading
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from linkquery.engine import (
     plan_order,
     unify_triple,
 )
-from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver
+from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver, RawResponse
 from linkquery.fixturegen import WebSpec, generate_web, naive_join
 from linkquery.query import BgpQuery, TriplePattern, Variable, binding_text, parse_query
 from linkquery.rdf import Iri, Literal, Triple
@@ -329,19 +330,23 @@ def test_binding_dedup_and_key():
 # -- execution setups on hand-built webs -----------------------------------------
 
 
+# s --p1--> a --p2--> b, plus a stray p2 triple in s's document.
+CHAIN_DOCS = {
+    NS + "s": nt(
+        (iri("s"), iri("p1"), iri("a")),
+        (iri("junk1"), iri("p2"), iri("junk2")),
+    ),
+    NS + "a": nt((iri("a"), iri("p2"), iri("b"))),
+    NS + "junk1": nt((iri("junk1"), iri("p2"), iri("junk2"))),
+}
+# One DELAY line, even for a document no run asks for, makes a web that may
+# block, so its hops go to the fetch pool.
+BLOCKING_CHAIN_DOCS = {**CHAIN_DOCS, NS + "idle": "!DELAY 1 THEN STATUS 404"}
+
+
 @pytest.fixture
 def chain_web(write_web):
-    """s --p1--> a --p2--> b, plus a stray p2 triple in s's document."""
-    return write_web(
-        {
-            NS + "s": nt(
-                (iri("s"), iri("p1"), iri("a")),
-                (iri("junk1"), iri("p2"), iri("junk2")),
-            ),
-            NS + "a": nt((iri("a"), iri("p2"), iri("b"))),
-            NS + "junk1": nt((iri("junk1"), iri("p2"), iri("junk2"))),
-        }
-    )
+    return write_web(CHAIN_DOCS)
 
 
 CHAIN_Q = f"SELECT ?x ?y WHERE {{ {iri('s')} {iri('p1')} ?x . ?x {iri('p2')} ?y . }}"
@@ -690,6 +695,65 @@ def test_deadline_bounds_wall_time(write_web):
     assert [(e.iri, e.status) for e in run.events] == [(S, DerefStatus.SKIPPED)]
 
 
+def test_only_hops_that_cannot_block_run_on_the_calling_thread(write_web):
+    threads = []
+
+    class Spy(FixtureResolver):
+        def resolve(self, iri, timeout_s):
+            threads.append(threading.get_ident())
+            return super().resolve(iri, timeout_s)
+
+    class Undeclared:
+        is_local = True
+
+        def __init__(self, inner):
+            self.resolve = inner.resolve
+
+    plain = write_web(CHAIN_DOCS, "plain")
+    delayed = write_web(BLOCKING_CHAIN_DOCS, "delayed")
+    for resolver, inline in ((Spy(plain), True), (Spy(delayed), False), (Undeclared(Spy(plain)), False)):
+        threads.clear()
+        run = execute(q(CHAIN_Q), Setup.BASE, resolver)
+        assert run.answer_keys() == {binding_text({"x": I("a"), "y": I("b")})}
+        assert len(threads) == run.metrics.http_lookups == 5
+        if inline:
+            assert set(threads) == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads
+
+
+def test_deadline_bounds_wall_time_on_the_calling_thread():
+    # n0 links to n1..n9, and each hop takes 40 ms: 400 ms for the whole web.
+    docs = {f"{NS}n{i}": nt(*((iri(f"n{i}"), iri("p1"), iri(f"n{j}")) for j in range(i + 1, 10))) for i in range(10)}
+    calls = []
+
+    class Slow:
+        is_local = True
+        may_block = False
+
+        def resolve(self, hop, timeout_s):
+            calls.append(threading.get_ident())
+            time.sleep(0.04)
+            return RawResponse(200, body=docs[hop].encode())
+
+    started = time.monotonic()
+    run = execute(
+        q(f"SELECT ?x WHERE {{ {iri('n0')} {iri('p1')} ?x . }}"),
+        Setup.BASE,
+        Slow(),
+        config=FetchConfig(deadline_ms=100),
+    )
+    # At most one hop and one document's processing past the deadline.
+    assert time.monotonic() - started < 0.3
+    assert run.metrics.truncated is True
+    assert set(calls) == {threading.get_ident()}
+    statuses = [e.status for e in run.events]
+    served = statuses.count(DerefStatus.OK)
+    assert [e.iri for e in run.events] == [I(f"n{i}") for i in range(10)]
+    assert 1 <= served == len(calls) < 10
+    assert statuses == [DerefStatus.OK] * served + [DerefStatus.SKIPPED] * (10 - served)
+
+
 def test_first_solution_timestamp_only_when_answers_exist(chain_web, seealso_web):
     with_answers = execute(q(CHAIN_Q), Setup.BASE, FixtureResolver(chain_web))
     assert with_answers.metrics.first_s is not None
@@ -717,12 +781,13 @@ def test_results_equals_distinct_answers(write_web):
     assert run.metrics.results == len(run.answers) == 1
 
 
-def test_parallelism_does_not_change_countable_metrics(chain_web):
+def test_parallelism_does_not_change_countable_metrics(write_web):
+    resolver = FixtureResolver(write_web(BLOCKING_CHAIN_DOCS))
     runs = [
         execute(
             q(CHAIN_Q),
             Setup.BASE,
-            FixtureResolver(chain_web),
+            resolver,
             config=FetchConfig(max_parallel=par),
         )
         for par in (1, 2, 8, 8, 8)
@@ -779,10 +844,15 @@ def _closing_pass_keys(run) -> frozenset[str]:
 def test_answers_do_not_depend_on_fetch_completion_order(small_webs, pick, setup, orders):
     web = small_webs[pick % len(small_webs)]
     planned = web.queries[pick // len(small_webs) % len(web.queries)]
-    runs = [execute(planned.query, setup, _delayed(web, seed)) for seed in orders]
+    # Two pooled runs, their hops finishing in seeded orders, and one on the
+    # calling thread, whose web has no DELAY.
+    pooled = [_delayed(web, seed) for seed in orders]
+    inline = FixtureResolver(web.manifest_path)
+    assert [r.may_block for r in pooled] == [True, True] and not inline.may_block
+    runs = [execute(planned.query, setup, r) for r in (*pooled, inline)]
     for run in runs:
         assert run.answer_keys() == _closing_pass_keys(run)
-    assert runs[0].answer_keys() == runs[1].answer_keys()
+    assert len({r.answer_keys() for r in runs}) == 1
     counts = {
         (r.metrics.results, r.metrics.http_lookups, r.metrics.retrieved_triples, r.metrics.inferred_triples)
         for r in runs

@@ -11,6 +11,7 @@ from linkquery.fetch import (
     FakeClock,
     FetchConfig,
     FixtureResolver,
+    LiveResolver,
     RawResponse,
     RecordResolver,
     ReplayResolver,
@@ -436,6 +437,49 @@ def test_replay_restores_redirect_location(tmp_path):
     resp = ReplayResolver(tape).resolve(B, 1.0)
     assert resp.status == 303
     assert resp.location == A
+
+
+# -- whether a resolver may block ---------------------------------------------
+
+
+class Undeclared:
+    """A resolver that does not say whether it may block."""
+
+    is_local = True
+
+    def resolve(self, iri, timeout_s):
+        return RawResponse(404)
+
+
+MAY_BLOCK = {"fixture": False, "fixture-delay": True, "replay": False, "live": True}
+
+
+@pytest.mark.parametrize(
+    "kind, recorded", [(k, False) for k in MAY_BLOCK] + [(k, True) for k in (*MAY_BLOCK, "undeclared")]
+)
+def test_may_block_is_fixed_by_the_resolver(write_web, tmp_path, kind, recorded):
+    if kind == "replay":
+        tape = tmp_path / "in.bin"
+        with open(tape, "wb") as fh:
+            append_record(fh, A, A, 200, NT.encode())
+        inner = ReplayResolver(tape)
+    elif kind == "live":
+        inner = LiveResolver()
+    elif kind == "undeclared":
+        inner = Undeclared()
+    else:
+        # One DELAY line, even of 0 ms and for a document no run needs, is enough.
+        extra = {C: "!DELAY 0 THEN STATUS 404"} if kind == "fixture-delay" else {}
+        inner = FixtureResolver(write_web({A: NT, B: f"!REDIRECT {A}", **extra}))
+    expected = MAY_BLOCK.get(kind, True)
+    resolver = RecordResolver(inner, tmp_path / "out.bin") if recorded else inner
+    try:
+        assert resolver.may_block is expected
+        with pytest.raises(AttributeError):
+            resolver.may_block = not expected
+    finally:
+        if recorded:
+            resolver.close()
 
 
 # -- resolver specs ---------------------------------------------------------
