@@ -62,11 +62,15 @@ CORPUS_SEED = 20140225
 # near misses include the term boundaries where a whole-line match could end
 # a term elsewhere than the term scanner: a label running into another blank
 # node, a tag followed by '-' or '.', and (with the empty separator and the
-# '.' end) terms and ends with no space between them.
+# '.' end) terms and ends with no space between them.  The IRIs also sit on
+# both edges of the IRI check: a one-letter scheme with nothing after it, an
+# escaped scheme, a scheme starting with a digit, excluded characters, and an
+# escape that decodes to one.
 IRIS = (("<http://a.example/s>", "<http://a/p>", "<urn:x>", "<http://a/\\u0041>", "<http://a/\\U0001F600>",
-         "<http://a/\\U0010FFFF>", "<http://a/\u0085>", "<http://a/\\uD800>"),
+         "<http://a/\\U0010FFFF>", "<http://a/\u0085>", "<http://a/\\uD800>", "<a:>", "<\\u0068ttp://a/>"),
         ("<http://a/\\u003E>", "<http://a/\\u00>", "<http://a/\\U00110000>", "<http://a/\\t>", "<http://a/\\>",
-         "<http://a/\t>", "<rel>", "<>", "<http://a/ b>", "<http://a", "<<http://a/>>"))
+         "<http://a/\t>", "<rel>", "<>", "<http://a/ b>", "<http://a", "<<http://a/>>", "<1a:b>", "<http://a/{x}>",
+         "<http://a/|>", "<http://a/^>", "<http://a/`>", "<http://a/\\u007B>"))
 BNODES = (("_:b0", "_:x_1-2", "_:_", "_:a_", "_:a-"), ("_:-x", "_:", "_x", "_:\u00e9", "_:a_:b"))
 BODIES = (("", "plain", "sp ace", "\\t", "\\b\\n\\r\\f", '\\"', "\\'", "\\\\", "\\u00E9", "\\U0001F600",
            "\\U0010FFFF", "\u0085", "\u2028", "\r", "\t", "<", ">", "'", "#", "@", "^"),

@@ -427,7 +427,8 @@ class DereferenceManager:
 
     def dereference(self, root: Iri) -> DerefResult:
         t_start = self._clock.now()
-        current = root.value
+        here = root  # the checked IRI of the current hop
+        current = root.value  # and its text, which scopes the document's blank nodes
         hops = 0
         follows = 0
         deadline_s = self._cfg.deadline_ms / 1000.0
@@ -458,9 +459,10 @@ class DereferenceManager:
                 if follows > self._cfg.redirect_limit:
                     return done(DerefStatus.TOO_MANY_REDIRECTS, http_status=resp.status, detail=current)
                 try:
-                    current = Iri(urljoin(current, resp.location)).value
+                    here = Iri(urljoin(current, resp.location))
                 except ValueError:
                     return done(DerefStatus.HTTP_ERROR, http_status=resp.status, detail="bad redirect location")
+                current = here.value
                 continue
             if not 200 <= resp.status < 300:
                 return done(DerefStatus.HTTP_ERROR, http_status=resp.status)
@@ -472,7 +474,7 @@ class DereferenceManager:
                     detail=f"{len(errors)} parse errors, no triples",
                 )
             doc = Document(iri=root.value, triples=tuple(triples))
-            return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=Iri(current))
+            return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=here)
 
     # A hop returns a RawResponse, the _TIMEOUT sentinel, or None when the
     # lookup budget is gone.  Budget is reserved before the request is made,

@@ -22,6 +22,11 @@ The reader accepts this dialect of N-Triples:
   character;
 - a ``# comment`` may follow the terminating ``.``, or fill a line;
 - any other line is recorded as a ParseError for that line and skipped.
+
+A valid line is read with one whole-line regex whose IRI groups carry the IRI
+check, so an IRI without escapes is checked once, by that match, and not
+again when it becomes an ``Iri``. Any line that regex does not match, an IRI
+that fails the check among them, goes to the term scanner, which reports why.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from typing import Iterable, Union
 
 # Absolute IRI with a scheme, restricted to characters that survive the
 # <...> serialization unescaped.
-_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^\x60\\]*')
+_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
+_IRI_CHAR = r'[^\x00-\x20<>"{}|^\x60\\]'
+_IRI_RE = re.compile(_SCHEME + _IRI_CHAR + "*")
 _BNODE_LABEL = r"[A-Za-z_][A-Za-z0-9_\-]*"
 _BNODE_LABEL_RE = re.compile(_BNODE_LABEL)
 
@@ -66,10 +73,14 @@ _LINE_END = r"[ \t]*\.[ \t]*(?:#.*)?"
 # A whole valid triple line in one match: an IRI or blank-node subject, an
 # IRI predicate, any object, then the end. A label or a tag can only be
 # followed here by a space, a tab, '<' or '.', none of which could continue
-# it, so each group ends where the term scanner ends that term.
+# it, so each group ends where the term scanner ends that term. An IRI group
+# is the IRI check's own grammar with \u and \U escapes between its
+# characters, so an IRI group without a backslash has passed that check;
+# one with escapes is checked again once they are decoded.
+_LINE_IRI = rf"<({_SCHEME}{_IRI_CHAR}*(?:(?:{_UCHAR}){_IRI_CHAR}*)*)>"
 _LINE_RE = re.compile(
-    rf"[ \t]*(?:{_IRI_BODY}|{_BNODE})[ \t]*{_IRI_BODY}"
-    rf"[ \t]*(?:{_IRI_BODY}|{_BNODE}|{_LITERAL_BODY}(?:{_LANG}|\^\^{_IRI_BODY})?)"
+    rf"[ \t]*(?:{_LINE_IRI}|{_BNODE})[ \t]*{_LINE_IRI}"
+    rf"[ \t]*(?:{_LINE_IRI}|{_BNODE}|{_LITERAL_BODY}(?:{_LANG}|\^\^{_LINE_IRI})?)"
     + _LINE_END
 )
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
@@ -256,7 +267,8 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
     known = iris.get
 
     def iri(body: str) -> Iri:
-        got = iris[body] = Iri(_unescape(body))
+        # The line regex has checked a body without escapes.
+        got = iris[body] = Iri(_unescape(body)) if "\\" in body else str.__new__(Iri, body)
         return got
 
     # split on \n / \r\n only: exotic codepoints like U+0085 or U+2028 are
@@ -286,11 +298,11 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
             elif o_label is not None:
                 o = BlankNode(o_label, doc_scope)
             else:
-                if datatype is not None:
+                if datatype is not None and "\\" in datatype:
                     datatype = (known(datatype) or iri(datatype)).value
                 # The line regex admits a tag or a datatype, never both.
                 o = tuple.__new__(Literal, (_unescape(lexical), datatype, language))
-        except ValueError as e:  # scan errors and IRIs that fail their check
+        except ValueError as e:  # scan errors and decoded IRIs that fail their check
             errors.append(ParseError(lineno, str(e)))
             continue
         # The line regex admits no literal subject and only an IRI predicate.

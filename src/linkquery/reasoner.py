@@ -13,11 +13,14 @@ Two independent mechanisms, composable:
 
 ``ReasoningStore`` combines both incrementally for the engine.  Its view is
 exact after every ingest: the canonical forms of all raw triples plus their
-closure.  Raw triples and view forms are indexed by the IRIs they mention,
-so a merge takes out only the forms that mention a retired representative
-and re-canonicalizes only the raw triples that touch a moved IRI.  The
-chainer stays monotone; a chained fact is in the view only while every IRI
-in it is a representative or rule vocabulary.
+closure.  Without owl:sameAs every triple is its own canonical form, so the
+view is a set the store keeps anyway: the raw set itself, or with rules the
+chainer's facts, which hold every raw triple and its closure.  With
+owl:sameAs the view is a set of its own.  Raw triples and view forms are then
+indexed by the IRIs they mention, so a merge takes out only the forms that
+mention a retired representative and re-canonicalizes only the raw triples
+that touch a moved IRI.  The chainer stays monotone; a chained fact is in
+the view only while every IRI in it is a representative or rule vocabulary.
 """
 
 from __future__ import annotations
@@ -254,13 +257,16 @@ class ReasoningStore:
 
     def __post_init__(self) -> None:
         self._raw: set[Triple] = set()
-        # Canonical forms of the raw triples; without sameAs, the raw set itself.
-        self._data: set[Triple] = set() if self.use_sameas else self._raw
-        self._view: set[Triple] = set()
+        self._chainer = _RhoChainer()
+        # The canonical forms of the raw triples, and the view.  Without sameAs
+        # they are sets the store keeps anyway (see the module docstring).
+        self._data: set[Triple] = self._raw
+        self._view: set[Triple] = self._chainer.facts if self.use_rhodf else self._raw
+        if self.use_sameas:
+            self._data, self._view = set(), set()
         # With sameAs only: raw triples and view forms by the IRIs they mention.
         self._raw_by_iri: dict[Iri, list[Triple]] = {}
         self._view_by_iri: dict[Iri, list[Triple]] = {}
-        self._chainer = _RhoChainer()
 
     def ingest(self, triples: Iterable[Triple]) -> ViewDelta:
         """Absorb raw triples; returns the view additions (canonical + inferred)."""
@@ -270,9 +276,15 @@ class ReasoningStore:
                 self._raw.add(t)
                 fresh.append(t)
         if not self.use_sameas:
-            # The data is the raw set itself, which already holds ``fresh``.
             delta = ViewDelta(fresh, [])
-            self._admit(fresh, delta)
+            if self.use_rhodf:
+                # A fresh triple the chainer already holds was inferred earlier
+                # and is in the view already.
+                facts = self._chainer.facts
+                delta += [t for t in fresh if t not in facts]
+                delta += self._chainer.add(delta)
+            else:
+                delta += fresh
             return delta
         moved: set[Iri] = set()
         retired: list[Iri] = []
@@ -327,10 +339,9 @@ class ReasoningStore:
     def _show(self, t: Triple, delta: ViewDelta) -> None:
         self._view.add(t)
         delta.append(t)
-        if self.use_sameas:
-            for term in t.terms():
-                if isinstance(term, Iri):
-                    self._view_by_iri.setdefault(term, []).append(t)
+        for term in t.terms():
+            if isinstance(term, Iri):
+                self._view_by_iri.setdefault(term, []).append(t)
 
     def _keyed(self, t: Triple) -> bool:
         """Whether a chained fact is in the closure of the current data.
@@ -341,8 +352,6 @@ class ReasoningStore:
         the chained facts in the closure of the data are exactly those whose
         IRIs are all representatives or rule vocabulary.
         """
-        if not self.use_sameas:
-            return True
         rep = self.equiv.rep
         return all(
             not isinstance(term, Iri) or term in RHO_VOCABULARY or rep(term) == term
@@ -362,8 +371,8 @@ class ReasoningStore:
     def finalize(self) -> FinalState:
         """The exact canonical store and its closure, as they stand."""
         data = frozenset(self._data)
-        return FinalState(
-            data=data,
-            inferred=frozenset(self._view - data),
-            inferred_count=sum(1 for t in self._view if t not in self._raw),
-        )
+        if self.use_sameas:
+            inferred_count = sum(1 for t in self._view if t not in self._raw)
+        else:  # the view holds the raw set
+            inferred_count = len(self._view) - len(self._raw)
+        return FinalState(data=data, inferred=frozenset(self._view - data), inferred_count=inferred_count)

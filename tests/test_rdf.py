@@ -21,6 +21,7 @@ from linkquery.rdf import (
     serialize_ntriples,
     term_to_text,
     TermScanError,
+    _IRI_RE,
 )
 
 
@@ -116,6 +117,16 @@ _S, _P = "<http://a.example/s>", "<http://a.example/p>"
         (f"{_S} {_P} <http://a/o> . # comment", True),
         (f"{_S} {_P} <http://a/o> . x", False),
         (f"<http://a/s\\u000A> {_P} <http://a/o> .", False),  # a decoded IRI is checked like any other
+        # Escaped IRIs in every position, and bodies that fail the IRI check
+        # as written or once decoded.
+        (f"<http://a/s\\u0041> {_P} <http://a/o> .", True),
+        (f"{_S} <http://a/\\u0070> <http://a/o> .", True),
+        (f"{_S} {_P} <http://a/\\U0001F600> .", True),
+        (f'{_S} {_P} "x"^^<http://a/\\u0064t> .', True),
+        (f"<1a:b> {_P} <http://a/o> .", False),
+        (f"{_S} <http://a/{{x}}> <http://a/o> .", False),
+        (f"{_S} {_P} <http://a/`> .", False),
+        (f'{_S} {_P} "x"^^<http://a/\\u007B> .', False),
     ],
 )
 def test_accepted_dialect(line, accepted):
@@ -152,6 +163,7 @@ _TERMS = (
     "_:a", "_:a_", "_:a_:b", "_:a-", "_:",
     '"x"', '"x"@en', '"x"@en-', '"x"@en-1a', '"x"@en-1a.', '"x"^^<http://a/d>', '"x"^^<http://a/d>.',
     '"x"^^<rel>', '"\\t\\u00E9"', '"x"@', '"x"^^', '"x',
+    "<1a:b>", "<http://a/{x}>", "<http://a/`>", "<http://a/\\u007B>", '"x"^^<http://a/\\u007B>',
 )
 _GAPS = ("", "", " ", "\t")
 _ENDS = (" .", ".", " . # c") * 4 + ("", " . x", "-", "_:b .", "#")
@@ -179,6 +191,16 @@ def _scanned(line):
 @given(_lines)
 def test_line_regex_agrees_with_term_scanner(line):
     assert parse_ntriples(line, doc_scope="d") == _scanned(line)
+
+
+@settings(max_examples=500)
+@given(_lines)
+def test_parsed_iris_pass_the_iri_check(line):
+    for t in parse_ntriples(line, doc_scope="d")[0]:
+        iris = [x for x in t if isinstance(x, Iri)]
+        if isinstance(t.object, Literal) and t.object.datatype is not None:
+            iris.append(t.object.datatype)
+        assert all(_IRI_RE.fullmatch(x) for x in iris), t
 
 
 def test_iri_rejects_relative_and_spaces():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -249,24 +250,38 @@ ALIASES = [Iri("http://a.example/v"), Iri("http://zz.example/v")]
 VOCAB = sorted(RHO_VOCABULARY, key=lambda i: i.value)
 
 
-def _batch_view(raw: set[Triple]) -> tuple[frozenset[Triple], frozenset[Triple], int]:
+def _batch_view(
+    raw: set[Triple], use_sameas: bool, use_rhodf: bool
+) -> tuple[frozenset[Triple], frozenset[Triple], int]:
     """Data, inferred and Inferred count recomputed from scratch."""
     rep = sameas_components(
         (t.subject, t.object)
         for t in raw
-        if t.predicate == OWL_SAMEAS and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
+        if use_sameas and t.predicate == OWL_SAMEAS and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
     )
 
     def canon(term):
         return rep.get(term, term) if isinstance(term, Iri) else term
 
     data = frozenset(Triple(canon(t.subject), canon(t.predicate), canon(t.object)) for t in raw)
-    inferred = frozenset(naive_rho_closure(data))
+    inferred = frozenset(naive_rho_closure(data) if use_rhodf else ())
     return data, inferred, len((data | inferred) - raw)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_store_view_is_exact_after_every_ingest(seed):
+# Every (use_sameas, use_rhodf) pair; the ids of both features together are
+# the bare seeds.
+_FEATURES = {"plain": (False, False), "rhodf": (False, True), "sameas": (True, False), "": (True, True)}
+
+
+@pytest.mark.parametrize(
+    "seed, use_sameas, use_rhodf",
+    [
+        pytest.param(seed, *flags, id=f"{name}-{seed}" if name else str(seed))
+        for name, flags in _FEATURES.items()
+        for seed in range(40)
+    ],
+)
+def test_store_view_is_exact_after_every_ingest(seed, use_sameas, use_rhodf):
     rng = random.Random(seed)
     nodes = X + C + P + ALIASES + (VOCAB if seed % 4 == 0 else [])
     data = sorted(_random_instance(rng), key=repr)
@@ -274,29 +289,45 @@ def test_store_view_is_exact_after_every_ingest(seed):
     if seed % 4 == 0:
         data.append(Triple(X[0], rng.choice(ALIASES), C[0]))
     rng.shuffle(data)
-    store = ReasoningStore(use_sameas=True, use_rhodf=True)
+    store = ReasoningStore(use_sameas=use_sameas, use_rhodf=use_rhodf)
     raw: set[Triple] = set()
+    listed: Counter[Triple] = Counter()  # how many deltas list a form, less its retractions
     while data:
         cut = rng.randrange(1, 5)
         batch, data = data[:cut], data[cut:]
-        store.ingest(batch)
+        delta = store.ingest(batch)
+        listed.subtract(delta.retracted)
+        listed.update(delta)
         raw |= set(batch)
         final = store.finalize()
-        assert (final.data, final.inferred, final.inferred_count) == _batch_view(raw)
+        assert (final.data, final.inferred, final.inferred_count) == _batch_view(raw, use_sameas, use_rhodf)
+        assert set(store.view()) == final.triples
+        assert {t: n for t, n in listed.items() if n} == dict.fromkeys(final.triples, 1)
 
 
 def test_finalize_keeps_inferred_disjoint_from_data():
-    store = ReasoningStore(use_rhodf=True)
-    store.ingest(
-        [
-            Triple(X[0], RDF_TYPE, C[0]),
-            Triple(C[0], RDFS_SUBCLASSOF, C[1]),
-            Triple(X[0], RDF_TYPE, C[1]),  # already stated: must not be re-counted
-        ]
-    )
-    final = store.finalize()
-    assert final.data & final.inferred == frozenset()
-    assert Triple(X[0], RDF_TYPE, C[1]) in final.data
+    for use_sameas in (False, True):
+        store = ReasoningStore(use_sameas=use_sameas, use_rhodf=True)
+        store.ingest(
+            [
+                Triple(X[0], RDF_TYPE, C[0]),
+                Triple(C[0], RDFS_SUBCLASSOF, C[1]),
+                Triple(X[0], RDF_TYPE, C[1]),  # already stated: must not be re-counted
+            ]
+        )
+        final = store.finalize()
+        assert final.data & final.inferred == frozenset()
+        assert Triple(X[0], RDF_TYPE, C[1]) in final.data
+        assert final.inferred_count == 0
+        # Inferred first and stated later: it moves from inferred to data
+        # without being listed again.
+        assert store.ingest([Triple(X[1], RDF_TYPE, C[0])]) == [Triple(X[1], RDF_TYPE, C[0]), Triple(X[1], RDF_TYPE, C[1])]
+        assert store.finalize().inferred_count == 1
+        assert store.ingest([Triple(X[1], RDF_TYPE, C[1])]) == []
+        final = store.finalize()
+        assert final.data & final.inferred == frozenset()
+        assert Triple(X[1], RDF_TYPE, C[1]) in final.data
+        assert final.inferred_count == 0
 
 
 def test_store_without_features_passes_data_through():
