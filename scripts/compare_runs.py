@@ -17,7 +17,11 @@ of a resolver that never blocks on the calling thread runs them all there.
 Each chain web therefore runs a second time, as ``<name>-delay0``, through a
 copy of its manifest with every directive behind ``DELAY 0``, which sends
 its hops to the fetch pool; both ways are compared with OLD_ROOT's runs of
-the same copy.
+the same copy.  Nor does any of them hold a ``REDIRECT``, so each chain web
+also has a redirect copy, ``<name>-redirect``, run both ways as well: there
+the documents of each two consecutive manifest IRIs are joined into one,
+served at ``<first IRI>/doc``, and both IRIs redirect to it, so roots share
+redirect targets.  The script prints how many runs had two roots reach one.
 
 The parse stage comes first.  OLD_ROOT also writes a parse corpus once:
 ``CORPUS_LINES`` seeded lines put together from N-Triples term fragments,
@@ -199,15 +203,18 @@ def parse_all(workdir: Path, webs: list[dict], out) -> None:
 def run_webs(webs: list[dict], out) -> None:
     from linkquery.bench import load_suite
     from linkquery.engine import execute
-    from linkquery.fetch import FetchConfig, FixtureResolver
+    from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver
 
     config = FetchConfig(max_parallel=2)
     for web in webs:
         resolver = FixtureResolver(web["manifest"])
+        redirects = web.get("redirects", {})
         for entry in load_suite(web["suite"]):
             for setup in web["setups"]:
                 run = execute(entry.query, setup, resolver, config=config)
                 m = run.metrics
+                targets = [redirects[e.iri.value] for e in run.events
+                           if e.iri.value in redirects and e.status != DerefStatus.SKIPPED]
                 out.write(json.dumps({
                     "run": [web["name"], entry.query_id, setup],
                     "answers": sorted(run.answer_keys()),
@@ -217,6 +224,7 @@ def run_webs(webs: list[dict], out) -> None:
                     "reasons": sorted([e.iri.value, e.reason] for e in run.events),
                     "data": _digest(run.final.data),
                     "inferred": _digest(run.final.inferred),
+                    "shared": len(targets) > len(set(targets)),
                 }) + "\n")
 
 
@@ -242,6 +250,41 @@ def worker(argv: list[str]) -> int:
 # --- driver side ------------------------------------------------------------
 
 
+def delayed(manifest: Path) -> Path:
+    """A copy of the manifest with every directive behind ``DELAY 0``."""
+    rows = (line.split("\t", 1) for line in manifest.read_text(encoding="utf-8").splitlines())
+    pooled = manifest.with_suffix(".delay0.tsv")
+    pooled.write_text("".join(f"{iri}\tDELAY 0 THEN {directive}\n" for iri, directive in rows), encoding="utf-8")
+    return pooled
+
+
+def redirected(manifest: Path) -> tuple[Path, dict[str, str]]:
+    """A copy of the manifest whose IRIs redirect, two by two, to joined documents.
+
+    Returns the copy and its redirects.  The documents of each two
+    consecutive IRIs are joined into one, served at the first IRI plus
+    ``/doc``, a path no chain web uses.
+    """
+    rows = [line.split("\t", 1) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    folder = manifest.parent / "redirect"
+    folder.mkdir(exist_ok=True)
+    redirects: dict[str, str] = {}
+    lines = []
+    for k in range(0, len(rows), 2):
+        pair = rows[k : k + 2]
+        target = f"{pair[0][0]}/doc"
+        body = "".join((manifest.parent / directive.removeprefix("FILE ")).read_text(encoding="utf-8")
+                       for _, directive in pair)
+        (folder / f"r{k:05d}.nt").write_text(body, encoding="utf-8")
+        lines.append(f"{target}\tFILE redirect/r{k:05d}.nt\n")
+        for iri, _ in pair:
+            redirects[iri] = target
+            lines.append(f"{iri}\tREDIRECT {target}\n")
+    copy = manifest.with_suffix(".redirect.tsv")
+    copy.write_text("".join(lines), encoding="utf-8")
+    return copy, redirects
+
+
 def add_chain_webs(seed: int, workdir: Path) -> list[dict]:
     sys.path.insert(0, str(HERE.parent.parent / "perfbench"))
     import scalegen
@@ -251,10 +294,10 @@ def add_chain_webs(seed: int, workdir: Path) -> list[dict]:
         out = scalegen.generate(scalegen.PRESETS[name], seed, workdir / f"{name}{seed:03d}")
         web = {"name": f"{name}{seed:03d}", "manifest": str(out / "manifest.tsv"),
                "suite": str(out / "suite.tsv"), "setups": list(scalegen.PRESETS[name].setups)}
-        rows = (line.split("\t", 1) for line in (out / "manifest.tsv").read_text(encoding="utf-8").splitlines())
-        pooled = out / "manifest.delay0.tsv"
-        pooled.write_text("".join(f"{iri}\tDELAY 0 THEN {directive}\n" for iri, directive in rows), encoding="utf-8")
-        webs += [web, {**web, "name": f"{web['name']}-delay0", "manifest": str(pooled)}]
+        copy, redirects = redirected(out / "manifest.tsv")
+        via = {**web, "name": f"{web['name']}-redirect", "manifest": str(copy), "redirects": redirects}
+        for w in (web, via):
+            webs += [w, {**w, "name": f"{w['name']}-delay0", "manifest": str(delayed(Path(w["manifest"])))}]
     return webs
 
 
@@ -296,8 +339,11 @@ def main(argv: list[str] | None = None) -> int:
             webs += add_chain_webs(args.chain_seed, workdir)
             (workdir / "webs.json").write_text(json.dumps(webs), encoding="utf-8")
         wait_ok(in_root(roots[0], "old", str(workdir)), in_root(roots[1], "new", str(workdir)))
-        return (compare(workdir / "parses-old.jsonl", workdir / "parses-new.jsonl", PARSE_FIELDS, "parses")
-                or compare(workdir / "runs-old.jsonl", workdir / "runs-new.jsonl", FIELDS, "runs"))
+        failed = (compare(workdir / "parses-old.jsonl", workdir / "parses-new.jsonl", PARSE_FIELDS, "parses")
+                  or compare(workdir / "runs-old.jsonl", workdir / "runs-new.jsonl", FIELDS, "runs"))
+        with open(workdir / "runs-new.jsonl", encoding="utf-8") as fh:
+            print(f"{sum(json.loads(line)['shared'] for line in fh)} runs had two roots redirected to one target")
+        return failed
 
 
 if __name__ == "__main__":

@@ -41,13 +41,13 @@ Retrieved, and Inferred deterministic whichever way the hops are served.
 
 A resolver that never blocks (``may_block`` false: a fixture web without
 ``DELAY``, a replay archive) has its hops served on the calling thread, one
-at a time in request order; handing an in-process lookup to a thread only
-adds interpreter-lock handoffs.  Only the hops of a resolver that can wait
-(live HTTP, a fixture web with ``DELAY``, or one that does not say) go to a
-pool of ``max_parallel`` workers, so that their waits overlap.
+at a time in request order; a thread would only add interpreter-lock
+handoffs.  A resolver that can wait (live HTTP, a fixture web with ``DELAY``,
+or one that does not say) has its hops, and only them, performed on a pool
+of ``max_parallel`` workers so that their waits overlap.
 
 The deadline bounds the run's wall time.  On the pool, once it passes, every
-hop still out is recorded as skipped, the run is flagged truncated, and
+parked root is recorded as skipped, the run is flagged truncated, and
 ``execute`` returns without waiting for the fetch workers.  On the calling
 thread, every hop started after it is skipped, so the run ends at most one
 hop and one document's processing past it.
@@ -61,7 +61,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Mapping, Sequence
 
 from .fetch import (
     DerefResult,
@@ -573,29 +573,40 @@ def execute(
             take(iri, reason, manager.dereference(iri))
     else:
         deadline = t0 + cfg.deadline_ms / 1000.0
-        in_flight: dict[Future, tuple[Iri, str]] = {}
+        in_flight: dict[Future, str] = {}  # one future per hop out on the pool
+        parked: dict[str, list[tuple[Iri, str, Generator]]] = {}  # hop -> the roots' chases waiting on it
         # Not a ``with`` block: joining the pool would wait out fetches that
         # outlive the deadline.  Their workers finish in the background.
         pool = ThreadPoolExecutor(max_workers=cfg.max_parallel)
 
-        def launch() -> None:
-            while pending:
-                iri, reason = pending.popleft()
-                in_flight[pool.submit(manager.dereference, iri)] = (iri, reason)
+        def step(iri: Iri, reason: str, chase: Generator, outcome: object) -> None:
+            """Send a root's chase a hop outcome; park it on its next hop, or take its result."""
+            try:
+                hop = chase.send(outcome)
+            except StopIteration as stop:
+                take(iri, reason, stop.value)
+                return
+            if hop not in parked:
+                in_flight[pool.submit(manager.request, hop)] = hop
+            parked.setdefault(hop, []).append((iri, reason, chase))
 
         try:
-            launch()
-            while in_flight:
+            while True:
+                while pending:
+                    iri, reason = pending.popleft()
+                    step(iri, reason, manager.chase(iri), None)
+                if not in_flight:
+                    break
                 done, _ = wait(list(in_flight), timeout=max(0.0, deadline - clk.now()), return_when=FIRST_COMPLETED)
                 if not done:
-                    # The deadline passed: every hop still out, started or queued, is skipped.
-                    for iri, reason in in_flight.values():
+                    # The deadline passed: skip every parked root.  A hop cancelled unstarted was never looked up.
+                    manager.lookups_used -= sum(fut.cancel() for fut in in_flight)
+                    for iri, reason, _ in (root for roots in parked.values() for root in roots):
                         take(iri, reason, DerefResult(iri=iri, status=DerefStatus.SKIPPED, detail="deadline exhausted"))
                     break
                 for fut in done:
-                    iri, reason = in_flight.pop(fut)
-                    take(iri, reason, fut.result())
-                launch()
+                    for iri, reason, chase in parked.pop(in_flight.pop(fut)):
+                        step(iri, reason, chase, fut.result())
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 

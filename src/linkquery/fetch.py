@@ -3,11 +3,11 @@
 A resolver performs exactly one HTTP-ish hop for an IRI and never follows
 redirects itself; ``DereferenceManager`` drives the hop loop and owns every
 cross-cutting policy (lookup budget, wall-clock deadline, per-host
-politeness).  Each hop IRI is looked up exactly once per run: the first
-caller performs the hop, and every other caller, concurrent or later,
-shares its outcome, or its exception if the resolver raised.  ``timeout_ms``
-bounds only the request itself, never how long a caller waits for a hop
-another thread is performing.  Resolvers come in four flavours:
+politeness).  It decides everything on the thread that drives it, and looks
+each hop IRI up at most once per run; only ``request``, which performs one
+hop, may run on a pool worker.  ``timeout_ms`` bounds that request, never
+how long a root waits for a hop another root asked for first.  Resolvers
+come in four flavours:
 
 * ``FixtureResolver`` serves a manifest-described web from local files,
 * ``ReplayResolver`` serves a previously recorded archive,
@@ -33,11 +33,10 @@ import logging
 import struct
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterator, Protocol
+from typing import BinaryIO, Generator, Iterator, Protocol
 from urllib.parse import urljoin, urlsplit
 
 from .rdf import Document, Iri, parse_ntriples
@@ -64,15 +63,12 @@ class FakeClock:
 
     def __init__(self, start: float = 0.0) -> None:
         self._t = start
-        self._lock = threading.Lock()
 
     def now(self) -> float:
-        with self._lock:
-            return self._t
+        return self._t
 
     def sleep(self, seconds: float) -> None:
-        with self._lock:
-            self._t += max(0.0, seconds)
+        self._t += max(0.0, seconds)
 
     def advance(self, seconds: float) -> None:
         self.sleep(seconds)
@@ -386,6 +382,8 @@ class DerefStatus(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class DerefResult:
+    """One root's outcome; on the pool, ``elapsed_s`` includes the time its hops waited for a worker."""
+
     iri: Iri
     status: DerefStatus
     document: Document | None = None
@@ -402,11 +400,11 @@ _TIMEOUT = object()  # hop outcome for transport failures
 class DereferenceManager:
     """Turns root IRIs into parsed documents under global fetch policies.
 
-    Thread-safe.  Each hop IRI is looked up exactly once per run: the first
-    caller reserves budget for it and performs it, and every other caller
-    waits on that hop's future and gets the same response, timeout, or
-    exception.  Redirecting roots that share a target therefore pay for the
-    target once.
+    One per run, driven from one thread: the deadline, the lookup budget,
+    hop de-duplication, redirects and parsing are all decided in ``chase``
+    on that thread.  ``request`` performs one hop and is the only method
+    that may run on a pool worker.  Each hop IRI is looked up at most once
+    per run, so redirecting roots that share a target pay for it once.
     """
 
     def __init__(self, resolver: Resolver, config: FetchConfig | None = None, clock: Clock | None = None) -> None:
@@ -414,18 +412,24 @@ class DereferenceManager:
         self._cfg = config or FetchConfig()
         self._clock: Clock = clock or RealClock()
         self._start = self._clock.now()
-        self._lock = threading.Lock()
-        self._lookups_used = 0
-        self._hops: dict[str, Future] = {}
+        self.lookups_used = 0
+        self._outcomes: dict[str, object] = {}  # hop IRI -> RawResponse or _TIMEOUT, None while out
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
 
-    @property
-    def lookups_used(self) -> int:
-        with self._lock:
-            return self._lookups_used
-
     def dereference(self, root: Iri) -> DerefResult:
+        """Chase ``root``, performing each hop with ``request`` on this thread."""
+        chase, outcome = self.chase(root), None
+        while True:
+            try:
+                hop = chase.send(outcome)
+            except StopIteration as stop:
+                return stop.value
+            outcome = self.request(hop)
+
+    def chase(self, root: Iri) -> Generator[str, object, DerefResult]:
+        """Yield each hop of ``root`` whose outcome is unknown, to be sent it (a ``RawResponse``
+        or ``_TIMEOUT``), and return the result.  Budget is reserved on a hop's first yield."""
         t_start = self._clock.now()
         here = root  # the checked IRI of the current hop
         current = root.value  # and its text, which scopes the document's blank nodes
@@ -445,9 +449,14 @@ class DereferenceManager:
         while True:
             if self._clock.now() - self._start > deadline_s:
                 return done(DerefStatus.SKIPPED, detail="deadline exhausted")
-            outcome = self._hop(current)
+            if current not in self._outcomes:
+                if self.lookups_used >= self._cfg.max_lookups:
+                    return done(DerefStatus.SKIPPED, detail="lookup budget exhausted")
+                self.lookups_used += 1
+                self._outcomes[current] = None
+            outcome = self._outcomes[current]
             if outcome is None:
-                return done(DerefStatus.SKIPPED, detail="lookup budget exhausted")
+                outcome = self._outcomes[current] = yield current
             hops += 1
             if outcome is _TIMEOUT:
                 return done(DerefStatus.TIMED_OUT, detail=current)
@@ -476,43 +485,22 @@ class DereferenceManager:
             doc = Document(iri=root.value, triples=tuple(triples))
             return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=here)
 
-    # A hop returns a RawResponse, the _TIMEOUT sentinel, or None when the
-    # lookup budget is gone.  Budget is reserved before the request is made,
-    # so the number of resolver calls can never exceed max_lookups.
-    def _hop(self, iri: str):
-        with self._lock:
-            hop = self._hops.get(iri)
-            first = hop is None
-            if first:
-                if self._lookups_used >= self._cfg.max_lookups:
-                    return None
-                self._lookups_used += 1
-                hop = self._hops[iri] = Future()
-        if first:
-            try:
-                hop.set_result(self._perform(iri))
-            except BaseException as e:
-                hop.set_exception(e)
-                raise
-        return hop.result()
-
-    def _perform(self, iri: str):
-        timeout_s = self._cfg.timeout_ms / 1000.0
+    def request(self, iri: str):
+        """Perform one hop: its ``RawResponse``, or ``_TIMEOUT`` on a transport failure or an overrun."""
         if not self._resolver.is_local and self._cfg.politeness_delay_ms:
             host = urlsplit(iri).netloc
-            with self._lock:
-                host_lock = self._host_locks.setdefault(host, threading.Lock())
-            with host_lock:
+            with self._host_locks.setdefault(host, threading.Lock()):  # atomic, as workers call this
                 last = self._host_last.get(host)
                 if last is not None:
                     wait = self._cfg.politeness_delay_ms / 1000.0 - (self._clock.now() - last)
                     if wait > 0:
                         self._clock.sleep(wait)
                 self._host_last[host] = self._clock.now()
-                return self._request(iri, timeout_s)
-        return self._request(iri, timeout_s)
+                return self._request(iri)
+        return self._request(iri)
 
-    def _request(self, iri: str, timeout_s: float):
+    def _request(self, iri: str):
+        timeout_s = self._cfg.timeout_ms / 1000.0
         t0 = self._clock.now()
         try:
             resp = self._resolver.resolve(iri, timeout_s)

@@ -1,6 +1,7 @@
 import random
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +415,80 @@ def test_redirects_sharing_a_target_look_it_up_once(write_web):
     assert seen == {(frozenset({binding_text({"x": I("t"), "y": Literal("v")})}), 4)}
 
 
+class Counting(FixtureResolver):
+    """A fixture web that lists every hop asked of it."""
+
+    def __init__(self, manifest):
+        super().__init__(manifest)
+        self.calls = []
+
+    def resolve(self, hop, timeout_s):
+        self.calls.append(hop)
+        return super().resolve(hop, timeout_s)
+
+
+def shared_target_web(write_web, target):
+    """s links to a and b, which both redirect to t, served by the ``target`` directive."""
+    manifest = write_web(
+        {
+            NS + "s": nt((iri("s"), iri("p1"), iri("a")), (iri("s"), iri("p1"), iri("b"))),
+            NS + "a": f"!REDIRECT {NS}t",
+            NS + "b": f"!REDIRECT {NS}t",
+            NS + "t": f"!{target}",
+        }
+    )
+    (manifest.parent / "t.nt").write_text(nt((iri("t"), iri("p2"), '"v"')), encoding="utf-8")
+    return manifest
+
+
+def test_roots_waiting_on_a_hop_that_outlasts_the_timeout_share_it(write_web):
+    resolver = Counting(shared_target_web(write_web, "DELAY 300 THEN FILE t.nt"))
+    assert resolver.may_block
+    run = execute(q(CHAIN_Q), Setup.BASE, resolver, config=FetchConfig(timeout_ms=50, max_parallel=4))
+    assert sorted(resolver.calls) == sorted(NS + t for t in "sabt")
+    assert {e.iri.value: e.status for e in run.events} == {
+        NS + "s": DerefStatus.OK, NS + "a": DerefStatus.TIMED_OUT, NS + "b": DerefStatus.TIMED_OUT}
+    assert run.metrics.http_lookups == 4
+
+
+def test_a_resolver_crash_on_a_shared_hop_makes_execute_raise(write_web):
+    class Crashing(Counting):
+        def resolve(self, hop, timeout_s):
+            response = super().resolve(hop, timeout_s)
+            if hop == NS + "t":
+                raise RuntimeError("resolver bug")
+            return response
+
+    resolver = Crashing(shared_target_web(write_web, "DELAY 50 THEN FILE t.nt"))
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="resolver bug"):
+        execute(q(CHAIN_Q), Setup.BASE, resolver, config=FetchConfig(max_parallel=4))
+    assert time.monotonic() - started < 1.0
+    assert resolver.calls.count(NS + "t") == 1
+
+
+def test_the_lookup_budget_on_the_pool_goes_to_the_first_roots_requested(write_web):
+    # A star: s links to 39 leaves, listed in order, so they are requested in order.
+    leaves = [f"d{i:02d}" for i in range(1, 40)]
+    manifest = write_web(
+        {NS + "s": "!DELAY 0 THEN FILE s.nt", **{NS + leaf: "!DELAY 0 THEN STATUS 200" for leaf in leaves}}
+    )
+    (manifest.parent / "s.nt").write_text(nt(*((iri("s"), iri("p1"), iri(leaf)) for leaf in leaves)))
+    resolver = Counting(manifest)
+    assert resolver.may_block
+    for _ in range(10):
+        resolver.calls.clear()
+        run = execute(
+            q(f"SELECT ?x WHERE {{ {iri('s')} {iri('p1')} ?x . }}"),
+            Setup.BASE,
+            resolver,
+            config=FetchConfig(max_lookups=25, max_parallel=4),
+        )
+        assert len(resolver.calls) == run.metrics.http_lookups == 25
+        assert run.metrics.truncated is True
+        assert {e.iri for e in run.events if e.status == DerefStatus.OK} == {S, *(I(leaf) for leaf in leaves[:24])}
+
+
 def test_deref_predicates_option(chain_web):
     plain = execute(q(CHAIN_Q), Setup.BASE, FixtureResolver(chain_web))
     wide = execute(
@@ -681,18 +756,29 @@ def test_truncated_run_is_flagged(chain_web):
 
 
 def test_deadline_bounds_wall_time(write_web):
-    manifest = write_web({NS + "s": "!DELAY 3000 THEN FILE slow.nt"})
+    # One worker: s's hop is under way at the deadline, and t's has not started.
+    manifest = write_web({NS + "s": "!DELAY 3000 THEN FILE slow.nt", NS + "t": "!DELAY 3000 THEN FILE slow.nt"})
     (manifest.parent / "slow.nt").write_text(nt((iri("s"), iri("p1"), iri("a"))), encoding="utf-8")
     started = time.monotonic()
     run = execute(
-        q(f"SELECT ?x WHERE {{ {iri('s')} {iri('p1')} ?x . }}"),
+        q(f"SELECT ?x WHERE {{ {iri('s')} {iri('p1')} ?x . {iri('t')} {iri('p1')} ?x . }}"),
         Setup.BASE,
         FixtureResolver(manifest),
-        config=FetchConfig(deadline_ms=200, timeout_ms=500),
+        config=FetchConfig(deadline_ms=200, timeout_ms=500, max_parallel=1),
     )
     assert time.monotonic() - started < 1.0
     assert run.metrics.truncated is True
-    assert [(e.iri, e.status) for e in run.events] == [(S, DerefStatus.SKIPPED)]
+    assert [(e.iri, e.status) for e in run.events] == [(S, DerefStatus.SKIPPED), (I("t"), DerefStatus.SKIPPED)]
+    assert run.metrics.http_lookups == 1  # t's hop was cancelled before it was looked up
+
+
+class Undeclared:
+    """A resolver that does not say whether it may block, so its hops go to the fetch pool."""
+
+    is_local = True
+
+    def __init__(self, inner):
+        self.resolve = inner.resolve
 
 
 def test_only_hops_that_cannot_block_run_on_the_calling_thread(write_web):
@@ -702,12 +788,6 @@ def test_only_hops_that_cannot_block_run_on_the_calling_thread(write_web):
         def resolve(self, iri, timeout_s):
             threads.append(threading.get_ident())
             return super().resolve(iri, timeout_s)
-
-    class Undeclared:
-        is_local = True
-
-        def __init__(self, inner):
-            self.resolve = inner.resolve
 
     plain = write_web(CHAIN_DOCS, "plain")
     delayed = write_web(BLOCKING_CHAIN_DOCS, "delayed")
@@ -802,16 +882,25 @@ def test_parallelism_does_not_change_countable_metrics(write_web):
 # -- order independence under shuffled fetch completion ---------------------
 
 
+class Webs(list):
+    """Webs shown by name.  Hypothesis prints a failing example's arguments;
+    the webs' own repr is over 100 kB, past the size at which Hypothesis
+    warns, and the pytest settings turn that warning into an error."""
+
+    def __repr__(self):
+        return f"Webs({[web.out_dir.name for web in self]})"
+
+
 @pytest.fixture(scope="module")
 def small_webs(tmp_path_factory):
     root = tmp_path_factory.mktemp("order-webs")
-    return [
+    return Webs(
         generate_web(
             WebSpec(seed=seed, n_entities=6, n_hub_entities=2, n_alias_entities=2, family_depth=1, alias_style=style),
             root / f"w{seed}",
         )
         for seed, style in ((3, "suffix"), (4, "prefixmin"))
-    ]
+    )
 
 
 def _delayed(web, seed: int) -> FixtureResolver:
@@ -828,6 +917,35 @@ def _delayed(web, seed: int) -> FixtureResolver:
     return FixtureResolver(path)
 
 
+def lazy_pool(data):
+    """Doubles for ``engine.ThreadPoolExecutor`` and ``engine.wait``.
+
+    A submitted hop runs on the calling thread only when ``wait`` completes
+    it, one hop per call, picked among those out by ``data.draw``.
+    """
+    out = {}
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, *args):
+            fut = Future()
+            out[fut] = (fn, args)
+            return fut
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    def wait(futures, timeout=None, return_when=None):
+        fut = futures[data.draw(st.integers(0, len(futures) - 1))]
+        fn, args = out.pop(fut)
+        fut.set_result(fn(*args))
+        return {fut}, set(futures) - {fut}
+
+    return Pool, wait
+
+
 def _closing_pass_keys(run) -> frozenset[str]:
     """Answers of a fresh evaluator fed the final store."""
     evaluator = IncrementalEvaluator([canonical_pattern(p, run.equiv) for p in run.query.patterns])
@@ -840,16 +958,23 @@ def _closing_pass_keys(run) -> frozenset[str]:
     pick=st.integers(0, 10**6),
     setup=st.sampled_from([Setup.SAMEAS, Setup.COMBINED]),
     orders=st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True),
+    data=st.data(),
 )
-def test_answers_do_not_depend_on_fetch_completion_order(small_webs, pick, setup, orders):
+def test_answers_do_not_depend_on_fetch_completion_order(small_webs, pick, setup, orders, data):
     web = small_webs[pick % len(small_webs)]
     planned = web.queries[pick // len(small_webs) % len(web.queries)]
-    # Two pooled runs, their hops finishing in seeded orders, and one on the
-    # calling thread, whose web has no DELAY.
+    # Two pooled runs, their hops finishing in seeded orders, one on the
+    # calling thread, whose web has no DELAY, and one on a stand-in pool whose
+    # hops finish in an order Hypothesis draws.
     pooled = [_delayed(web, seed) for seed in orders]
     inline = FixtureResolver(web.manifest_path)
     assert [r.may_block for r in pooled] == [True, True] and not inline.may_block
     runs = [execute(planned.query, setup, r) for r in (*pooled, inline)]
+    with pytest.MonkeyPatch.context() as mp:
+        pool, wait = lazy_pool(data)
+        mp.setattr(engine, "ThreadPoolExecutor", pool)
+        mp.setattr(engine, "wait", wait)
+        runs.append(execute(planned.query, setup, Undeclared(inline)))
     for run in runs:
         assert run.answer_keys() == _closing_pass_keys(run)
     assert len({r.answer_keys() for r in runs}) == 1

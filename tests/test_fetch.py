@@ -1,7 +1,4 @@
 import io
-import sys
-import threading
-import time
 
 import pytest
 
@@ -207,98 +204,26 @@ def test_hop_cache_deduplicates_lookups(write_web):
     assert m.lookups_used == 3
 
 
-class Gate:
-    """Resolver that holds each request until released, then answers."""
+def test_chase_yields_each_hop_until_its_outcome_is_known(write_web):
+    fixture = FixtureResolver(write_web({A: NT, B: f"!REDIRECT {A}", C: f"!REDIRECT {A}"}))
+    m = manager(fixture, max_lookups=3)
 
-    is_local = True
+    def result(chase, outcome):
+        with pytest.raises(StopIteration) as stop:
+            chase.send(outcome)
+        return stop.value.value
 
-    def __init__(self, answer):
-        self.answer = answer
-        self.calls = 0
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def resolve(self, iri, timeout_s):
-        self.calls += 1
-        self.entered.set()
-        self.release.wait(5)
-        return self.answer()
-
-
-def race(m, gate, iri, settle_s):
-    """Dereference ``iri`` from two threads, the second while the first is in the resolver."""
-    outcomes = []
-
-    def work():
-        try:
-            outcomes.append(m.dereference(Iri(iri)))
-        except Exception as e:
-            outcomes.append(e)
-
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(2)]
-    threads[0].start()
-    assert gate.entered.wait(5)
-    threads[1].start()
-    time.sleep(settle_s)
-    gate.release.set()
-    for t in threads:
-        t.join(1.0)
-    assert not any(t.is_alive() for t in threads)
-    return outcomes
-
-
-def test_concurrent_hop_outlasting_the_timeout_is_looked_up_once():
-    gate = Gate(lambda: RawResponse(200, body=NT.encode()))
-    m = manager(gate, timeout_ms=50)
-    outcomes = race(m, gate, A, settle_s=0.2)
-    assert [o.status for o in outcomes] == [DerefStatus.TIMED_OUT] * 2
-    assert m.lookups_used == 1
-    assert gate.calls == 1
-
-
-def test_resolver_crash_reaches_every_waiter_at_once():
-    def crash():
-        raise RuntimeError("resolver bug")
-
-    gate = Gate(crash)
-    m = manager(gate, timeout_ms=10_000)
-    t0 = time.monotonic()
-    outcomes = race(m, gate, A, settle_s=0.05)
-    assert time.monotonic() - t0 < 1.0
-    assert len(outcomes) == 2 and all(isinstance(o, RuntimeError) for o in outcomes)
-    assert gate.calls == 1
-
-
-def test_each_hop_is_looked_up_once_under_thread_pressure(write_web):
-    docs = {f"http://w.example/d{i}": NT for i in range(8)}
-    fixture = FixtureResolver(write_web(docs))
-    calls = []
-    lock = threading.Lock()
-
-    class Counting:
-        is_local = True
-
-        def resolve(self, iri, timeout_s):
-            with lock:
-                calls.append(iri)
-            return fixture.resolve(iri, timeout_s)
-
-    m = manager(Counting())
-    threads = [
-        threading.Thread(target=lambda: [m.dereference(Iri(i)) for i in docs], daemon=True) for _ in range(16)
-    ]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(calls) == sorted(docs)
-    assert m.lookups_used == len(docs)
+    b, c = m.chase(Iri(B)), m.chase(Iri(C))
+    assert next(b) == B and b.send(fixture.resolve(B, 1.0)) == A
+    # A is out for B, so C waits for it too, without a second reservation.
+    assert next(c) == C and c.send(fixture.resolve(C, 1.0)) == A
+    assert m.lookups_used == 3
+    response = fixture.resolve(A, 1.0)
+    # Once A is back, a chase that reaches it yields nothing.
+    results = [result(b, response), result(c, response), result(m.chase(Iri(A)), None)]
+    assert [(r.status, r.final_iri, r.hops) for r in results] == [
+        (DerefStatus.OK, Iri(A), 2), (DerefStatus.OK, Iri(A), 2), (DerefStatus.OK, Iri(A), 1)]
+    assert m.lookups_used == 3
 
 
 def test_politeness_spaces_requests_per_host():
@@ -326,24 +251,6 @@ def test_local_resolvers_skip_politeness(write_web):
     m.dereference(Iri(A))
     m.dereference(Iri(B))
     assert clock.now() == 0.0
-
-
-def test_parallel_dereferences_share_the_budget(write_web):
-    docs = {f"http://w.example/d{i}": NT for i in range(40)}
-    m = manager(FixtureResolver(write_web(docs)), max_lookups=25)
-    results = []
-
-    def work(iri):
-        results.append(m.dereference(Iri(iri)))
-
-    threads = [threading.Thread(target=work, args=(iri,)) for iri in docs]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert m.lookups_used == 25
-    assert sum(r.status == DerefStatus.OK for r in results) == 25
-    assert sum(r.status == DerefStatus.SKIPPED for r in results) == 15
 
 
 # -- config ---------------------------------------------------------------------
