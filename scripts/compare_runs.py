@@ -26,7 +26,10 @@ redirect targets.  The script prints how many runs had two roots reach one.
 The parse stage comes first.  OLD_ROOT also writes a parse corpus once:
 ``CORPUS_LINES`` seeded lines put together from N-Triples term fragments,
 good and bad escapes, language tags, datatypes, term boundaries and stray
-characters, and ``CORPUS_BYTES`` seeded random byte strings.  Each root
+characters; ``CORPUS_DOCS`` documents of 20 to 60 lines, nearly all of them
+triple lines, some ending in a newline or a blank line, so that both the
+parser's whole-document scan and its line-by-line reading are compared; and
+``CORPUS_BYTES`` seeded random byte strings.  Each root
 parses every corpus entry and every ``.nt`` document of the webs with
 ``parse_ntriples``; the stage compares each entry's triples (term text plus
 blank-node scope) and the line numbers of its errors.
@@ -57,6 +60,8 @@ CHAIN_WORKLOADS = ("long-chain", "sameas-chain")
 FIELDS = ("answers", "counts", "truncated", "retrieved", "reasons", "data", "inferred")
 PARSE_FIELDS = ("triples", "errors")
 CORPUS_LINES = 100_000
+CORPUS_DOCS = 3_000
+DOC_LINES = (20, 60)
 CORPUS_BYTES = 10_000
 CORPUS_SEED = 20140225
 
@@ -88,6 +93,13 @@ STRAYS = ("<", ">", '"', "\\", "\r", "\u0085", "\u2028", "@", "^", "_", ":", "."
 # Chance of an IRI, a blank node or a literal in subject, predicate and
 # object position.
 TERM_WEIGHTS = ((60, 35, 5), (95, 3, 2), (40, 20, 40))
+# The IRIs of the corpus documents: the well-formed ones that the line
+# grammar matches (all but the escaped scheme, which only the term scanner
+# reads), and, now and then, escapes that the line grammar matches but that
+# fail the IRI check once decoded.
+DOC_IRIS = (tuple(i for i in IRIS[0] if not i.startswith("<\\")), ("<http://a/\\u003E>", "<http://a/\\u007B>"))
+DOC_GAPS = (" ", "\t", "  ")
+DOC_TAILS = ("", "\n", "\n", "\r\n", "\n\n", "\n \n")
 
 
 def seed_range(text: str) -> list[int]:
@@ -164,8 +176,34 @@ def corpus_line(rng: random.Random) -> str:
     return "".join(line)
 
 
+def doc_line(rng: random.Random) -> str:
+    """A triple line of well-formed terms, with spaces or a tab between them."""
+    def iri() -> str:
+        good, fails = DOC_IRIS
+        return rng.choice(fails if rng.random() < 0.01 else good)
+
+    subject = iri() if rng.random() < 0.7 else rng.choice(BNODES[0])
+    kind = rng.random()
+    if kind < 0.4:
+        obj = iri()
+    elif kind < 0.5:
+        obj = rng.choice(BNODES[0])
+    else:
+        obj = '"' + "".join(rng.choice(BODIES[0]) for _ in range(rng.randrange(4))) + '"' + rng.choice(TAGS[0])
+    p_gap, o_gap = rng.choice(DOC_GAPS), rng.choice(DOC_GAPS)
+    return f"{rng.choice(SEPS[0])}{subject}{p_gap}{iri()}{o_gap}{obj}{rng.choice(ENDS[0])}"
+
+
+def corpus_doc(rng: random.Random) -> str:
+    """A document of 20-60 lines, most of them triple lines, so that many
+    such documents are read by the parser's whole-document scan."""
+    lines = [corpus_line(rng) if rng.random() < 0.02 else doc_line(rng) for _ in range(rng.randint(*DOC_LINES))]
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(DOC_TAILS)
+
+
 def write_corpus(path: Path) -> None:
-    """Seeded fuzzed lines (several to an entry, now and then) and random bytes."""
+    """Seeded fuzzed lines (several to an entry, now and then), documents of
+    mostly triple lines, and random bytes."""
     rng = random.Random(CORPUS_SEED)
     entries: list[bytes] = []
     n_lines = 0
@@ -173,6 +211,7 @@ def write_corpus(path: Path) -> None:
         lines = [corpus_line(rng) for _ in range(rng.choice((1, 1, 1, 2, 3)))]
         entries.append(rng.choice(("\n", "\r\n")).join(lines).encode("utf-8"))
         n_lines += len(lines)
+    entries += [corpus_doc(rng).encode("utf-8") for _ in range(CORPUS_DOCS)]
     syntax = b'<>"_:@^\\ .#\r\n\tuU0123456789abcdefABCDEF/'
     for _ in range(CORPUS_BYTES):
         alphabet = syntax if rng.random() < 0.5 else bytes(range(256))

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import BinaryIO, Generator, Iterator, Protocol
 from urllib.parse import urljoin, urlsplit
 
-from .rdf import Document, Iri, parse_ntriples
+from .rdf import RUN_IRIS, Document, Iri, parse_ntriples
 
 log = logging.getLogger(__name__)
 
@@ -405,6 +405,9 @@ class DereferenceManager:
     on that thread.  ``request`` performs one hop and is the only method
     that may run on a pool worker.  Each hop IRI is looked up at most once
     per run, so redirecting roots that share a target pay for it once.
+    It also owns the run's IRI table, which it lends the parser for each
+    document (``rdf.RUN_IRIS``), so that the run's documents share one
+    ``Iri`` per IRI; the table goes with the manager, at the end of the run.
     """
 
     def __init__(self, resolver: Resolver, config: FetchConfig | None = None, clock: Clock | None = None) -> None:
@@ -416,6 +419,7 @@ class DereferenceManager:
         self._outcomes: dict[str, object] = {}  # hop IRI -> RawResponse or _TIMEOUT, None while out
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
+        self._iris: dict[str, Iri] = {}  # the run's IRI table, lent to the parser
 
     def dereference(self, root: Iri) -> DerefResult:
         """Chase ``root``, performing each hop with ``request`` on this thread."""
@@ -475,7 +479,11 @@ class DereferenceManager:
                 continue
             if not 200 <= resp.status < 300:
                 return done(DerefStatus.HTTP_ERROR, http_status=resp.status)
-            triples, errors = parse_ntriples(resp.body, doc_scope=current)
+            lent = RUN_IRIS.set(self._iris)
+            try:
+                triples, errors = parse_ntriples(resp.body, doc_scope=current)
+            finally:
+                RUN_IRIS.reset(lent)
             if resp.body.strip() and not triples and errors:
                 return done(
                     DerefStatus.PARSE_FAILURE,

@@ -27,11 +27,19 @@ A valid line is read with one whole-line regex whose IRI groups carry the IRI
 check, so an IRI without escapes is checked once, by that match, and not
 again when it becomes an ``Iri``. Any line that regex does not match, an IRI
 that fails the check among them, goes to the term scanner, which reports why.
+A document whose lines are all triple lines is read by one scan of the same
+grammar over the whole text; any other is read line by line.
+
+Documents retrieved together keep naming the same IRIs, so a fetcher may lend
+the parser one IRI table for all the documents of a run (``RUN_IRIS``); they
+then share one ``Iri`` per IRI. Without a lent table each document has one of
+its own.
 """
 
 from __future__ import annotations
 
 import re
+from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Union
@@ -78,11 +86,18 @@ _LINE_END = r"[ \t]*\.[ \t]*(?:#.*)?"
 # characters, so an IRI group without a backslash has passed that check;
 # one with escapes is checked again once they are decoded.
 _LINE_IRI = rf"<({_SCHEME}{_IRI_CHAR}*(?:(?:{_UCHAR}){_IRI_CHAR}*)*)>"
+# Unlike the term grammar's, its literal body takes no \n (a line has none).
+_LINE_LITERAL = rf'"([^"\\\n]*(?:(?:{_UCHAR}|\\[tbnrf"\'\\])[^"\\\n]*)*)"'
 _LINE_RE = re.compile(
     rf"[ \t]*(?:{_LINE_IRI}|{_BNODE})[ \t]*{_LINE_IRI}"
-    rf"[ \t]*(?:{_LINE_IRI}|{_BNODE}|{_LITERAL_BODY}(?:{_LANG}|\^\^{_LINE_IRI})?)"
+    rf"[ \t]*(?:{_LINE_IRI}|{_BNODE}|{_LINE_LITERAL}(?:{_LANG}|\^\^{_LINE_IRI})?)"
     + _LINE_END
 )
+# The line grammar over a whole document, one match per triple line: a match
+# runs from the start of a line to its end, with a \r allowed before that
+# end. No part of the line grammar takes a \n, so no match crosses a line,
+# and the matches are as many as the lines only when every line is one.
+_DOC_RE = re.compile("^" + _LINE_RE.pattern + r"\r?$", re.M)
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _BLANK_LINE_RE = re.compile(r"[ \t]*(?:#|$)")
 _LINE_END_RE = re.compile(_LINE_END)
@@ -204,6 +219,13 @@ RDFS_SEEALSO = Iri(RDFS_NS + "seeAlso")
 OWL_SAMEAS = Iri(OWL_NS + "sameAs")
 
 
+# The IRI table a fetcher lends ``parse_ntriples`` for the documents of one
+# run, so that they share one Iri per IRI; None outside a run. It is not a
+# parameter because the benchmark's tracer wraps ``parse_ntriples`` as a
+# two-argument function, and a third argument would not reach the parser.
+RUN_IRIS: ContextVar[dict[str, Iri] | None] = ContextVar("RUN_IRIS", default=None)
+
+
 class TermScanError(ValueError):
     def __init__(self, msg: str, pos: int) -> None:
         super().__init__(msg)
@@ -256,6 +278,11 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
     Every line is attempted independently: malformed lines are collected as
     ParseError(line, reason) and skipped. Blank nodes are scoped to doc_scope.
     Never raises on document content.
+
+    A document whose lines are all triple lines is read by one scan of
+    ``_DOC_RE``; any other goes line by line. IRIs come from the table in
+    ``RUN_IRIS`` when a fetcher lends one, and from a table of this
+    document's own otherwise.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8", errors="replace")
@@ -263,13 +290,46 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
         text = data
     triples: list[Triple] = []
     errors: list[ParseError] = []
-    iris: dict[str, Iri] = {}  # one Iri per distinct IRI body in the document
+    iris = RUN_IRIS.get()
+    if iris is None:
+        iris = {}  # IRI body as written -> its Iri
     known = iris.get
 
     def iri(body: str) -> Iri:
-        # The line regex has checked a body without escapes.
-        got = iris[body] = Iri(_unescape(body)) if "\\" in body else str.__new__(Iri, body)
+        if "\\" not in body:  # the line regex has checked it
+            got = iris[body] = str.__new__(Iri, body)
+        else:  # checked once decoded, and shared with the same IRI written plainly
+            decoded = _unescape(body)
+            got = iris[body] = iris[decoded] = known(decoded) or Iri(decoded)
         return got
+
+    def triple(row: tuple[str, ...]) -> Triple:
+        """The triple of one line grammar match, its absent groups ''; raises
+        ValueError for an escaped IRI that fails its check once decoded."""
+        s_iri, s_label, p, o_iri, o_label, lexical, language, datatype = row
+        # No IRI, label, tag or datatype matches empty, so '' means absent.
+        s = (known(s_iri) or iri(s_iri)) if s_iri else BlankNode(s_label, doc_scope)
+        p = known(p) or iri(p)
+        if o_iri:
+            o = known(o_iri) or iri(o_iri)
+        elif o_label:
+            o = BlankNode(o_label, doc_scope)
+        else:
+            if datatype and "\\" in datatype:
+                datatype = (known(datatype) or iri(datatype)).value
+            # The line regex admits a tag or a datatype, never both.
+            o = tuple.__new__(Literal, (_unescape(lexical), datatype or None, language or None))
+        # The line regex admits no literal subject and only an IRI predicate.
+        return tuple.__new__(Triple, (s, p, o))
+
+    rows = _DOC_RE.findall(text)
+    if len(rows) == text.count("\n") + (text[-1:] not in ("", "\n")):  # every line a triple line
+        for lineno, row in enumerate(rows, start=1):
+            try:
+                triples.append(triple(row))
+            except ValueError as e:
+                errors.append(ParseError(lineno, str(e)))
+        return triples, errors
 
     # split on \n / \r\n only: exotic codepoints like U+0085 or U+2028 are
     # ordinary content inside terms, not line breaks
@@ -282,31 +342,13 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
             line = line[:-1]
         m = line_match(line)
         try:
-            if m is None:  # blank, comment or malformed: the term scanner decides
-                t = _parse_line(line, doc_scope)
-                if t is not None:
-                    triples.append(t)
-                continue
-            s_iri, s_label, p, o_iri, o_label, lexical, language, datatype = m.groups()
-            if s_iri is not None:
-                s = known(s_iri) or iri(s_iri)
-            else:
-                s = BlankNode(s_label, doc_scope)
-            p = known(p) or iri(p)
-            if o_iri is not None:
-                o = known(o_iri) or iri(o_iri)
-            elif o_label is not None:
-                o = BlankNode(o_label, doc_scope)
-            else:
-                if datatype is not None and "\\" in datatype:
-                    datatype = (known(datatype) or iri(datatype)).value
-                # The line regex admits a tag or a datatype, never both.
-                o = tuple.__new__(Literal, (_unescape(lexical), datatype, language))
+            # no match (blank, comment or malformed): the term scanner decides
+            t = _parse_line(line, doc_scope) if m is None else triple(m.groups(""))
         except ValueError as e:  # scan errors and decoded IRIs that fail their check
             errors.append(ParseError(lineno, str(e)))
             continue
-        # The line regex admits no literal subject and only an IRI predicate.
-        triples.append(tuple.__new__(Triple, (s, p, o)))
+        if t is not None:
+            triples.append(t)
     return triples, errors
 
 

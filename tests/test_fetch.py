@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from linkquery import fetch
 from linkquery.fetch import (
     DereferenceManager,
     DerefStatus,
@@ -17,7 +18,7 @@ from linkquery.fetch import (
     parse_resolver_spec,
     read_records,
 )
-from linkquery.rdf import Iri
+from linkquery.rdf import RUN_IRIS, Iri
 
 A = "http://w.example/a"
 B = "http://w.example/b"
@@ -224,6 +225,31 @@ def test_chase_yields_each_hop_until_its_outcome_is_known(write_web):
     assert [(r.status, r.final_iri, r.hops) for r in results] == [
         (DerefStatus.OK, Iri(A), 2), (DerefStatus.OK, Iri(A), 2), (DerefStatus.OK, Iri(A), 1)]
     assert m.lookups_used == 3
+
+
+def test_documents_of_one_run_share_their_iris(write_web):
+    web = write_web({A: NT, B: "<http://w.example/b> <http://w.example/p> <http://w.example/o2> .\n"})
+    first = manager(FixtureResolver(web))
+    a, b = (first.dereference(Iri(x)).document.triples[0] for x in (A, B))
+    assert a.predicate == b.predicate and a.predicate is b.predicate
+    # A manager of its own starts an empty table: equal IRIs, other objects.
+    again = manager(FixtureResolver(web)).dereference(Iri(A)).document.triples[0]
+    assert again == a and all(x is not y for x, y in zip(again, a))
+
+
+def test_the_run_table_is_lent_only_for_the_parse(write_web, monkeypatch):
+    web = write_web({A: NT})
+    assert manager(FixtureResolver(web)).dereference(Iri(A)).status == DerefStatus.OK
+    assert RUN_IRIS.get() is None
+
+    def crash(data, doc_scope):
+        assert RUN_IRIS.get() is not None
+        raise RuntimeError("parser crashed")
+
+    monkeypatch.setattr(fetch, "parse_ntriples", crash)
+    with pytest.raises(RuntimeError, match="parser crashed"):
+        manager(FixtureResolver(web)).dereference(Iri(A))
+    assert RUN_IRIS.get() is None
 
 
 def test_politeness_spaces_requests_per_host():

@@ -14,6 +14,7 @@ from linkquery.rdf import (
     Iri,
     Literal,
     ParseError,
+    RUN_IRIS,
     Triple,
     _parse_line,
     parse_ntriples,
@@ -339,3 +340,86 @@ def test_term_to_text_single_term_round_trip(term):
     parsed, errors = parse_ntriples(text, doc_scope="d")
     assert errors == []
     assert parsed[0].object == term
+
+
+# -- hypothesis: one scan per document, and one IRI table per run --------------
+
+# Triple lines that the whole-document scan matches: serialized triples,
+# escaped IRIs that decode to a plain one, and escaped IRIs that fail the IRI
+# check once decoded (the scan matches them; the line is then an error).
+_escaped = st.sampled_from((
+    "<http://a/\\u0041> <http://a/p> <http://a/o> .",
+    "<http://a/s> <http://a/\\u0070> _:b .",
+    '_:b <http://a/p> "x"^^<http://a/\\u0064t> .',
+    "<http://a/s> <http://a/p> <http://a/\\u0020> .",
+    '<http://a/s> <http://a/p> "x"^^<http://a/\\u007B> .',
+    "<http://a/\\u000A> <http://a/p> <http://a/o> . # c",
+))
+_triple_lines = st.one_of(_triples.map(lambda t: serialize_ntriples([t])[:-1]), _escaped)
+_other_lines = st.one_of(st.sampled_from(("", "  ", "\t", "# c", " # c")), _lines)
+_ends = st.sampled_from(("\n", "\n", "\r\n"))
+_tails = st.sampled_from(("", "", "\n", "\r\n", "\r", "\n\n", "\r\r\n"))
+
+
+@st.composite
+def _documents(draw):
+    """A document of triple lines, and now and then other lines too."""
+    lines = _triple_lines if draw(st.booleans()) else st.one_of(_triple_lines, _other_lines)
+    text = "".join(line + end for line, end in draw(st.lists(st.tuples(lines, _ends), max_size=10)))
+    if draw(st.booleans()):
+        text = text[:-1]  # no final newline, or a final bare \r
+    return text + draw(_tails)
+
+
+def _line_by_line(text):
+    """The term scanner's reading of a document, one line at a time, in scope "d"."""
+    triples, errors = [], []
+    lines = text.split("\n")
+    for n, line in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
+        t, e = _scanned(line[:-1] if line.endswith("\r") else line)
+        triples += t
+        errors += [ParseError(n, x.reason) for x in e]
+    return triples, errors
+
+
+def _typed(parsed):
+    """Triples with the types of their terms, and errors, for comparison."""
+    triples, errors = parsed
+    kinds = [tuple(map(type, t)) + (type(t[2][1]) if isinstance(t[2], Literal) else None,) for t in triples]
+    return triples, kinds, errors
+
+
+@settings(max_examples=300)
+@given(st.lists(_documents(), min_size=1, max_size=6))
+def test_a_lent_iri_table_changes_no_parse(docs):
+    token = RUN_IRIS.set({})
+    try:
+        lent = [parse_ntriples(d, "d") for d in docs]
+    finally:
+        RUN_IRIS.reset(token)
+    alone = [parse_ntriples(d, "d") for d in docs]
+    assert [_typed(x) for x in lent] == [_typed(x) for x in alone]
+    assert [_typed(x) for x in alone] == [_typed(_line_by_line(d)) for d in docs]
+    # Under the lent table, each IRI is one object across all the documents.
+    seen = {}
+    for triples, _ in lent:
+        for iri in (x for t in triples for x in t if isinstance(x, Iri)):
+            assert seen.setdefault(iri, iri) is iri
+
+
+_bad_lines = _lines.filter(lambda line: _scanned(line)[1])
+
+
+@settings(max_examples=300)
+@given(st.lists(_triple_lines, min_size=1, max_size=10), _bad_lines, st.data())
+def test_one_bad_line_sends_a_document_line_by_line(lines, bad, data):
+    """A bad line added to a document of triple lines, which sends it line by
+    line unless the scan matches that line too, leaves the other triples as
+    they were and is reported under its own line number."""
+    text = "\n".join(lines) + data.draw(st.sampled_from(("", "\n", "\r\n")))
+    at = data.draw(st.integers(0, len(lines)))
+    triples, errors = parse_ntriples(text, "d")
+    got, got_errors = parse_ntriples("\n".join(lines[:at] + [bad] + lines[at:]) + "\n", "d")
+    assert _typed((got, [])) == _typed((triples, []))
+    shifted = [ParseError(e.line + (e.line > at), e.reason) for e in errors]
+    assert got_errors == sorted(shifted + [ParseError(at + 1, _scanned(bad)[1][0].reason)], key=lambda e: e.line)
