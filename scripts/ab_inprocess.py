@@ -23,7 +23,9 @@ Every execution's answer keys are checked against the web's
 ``expected.tsv``, and the four counts of the two trees against each other.
 
 It prints, per tree, the median and the 90th percentile of the wall time
-per execution and the median time to the first answer, and the median over
+per execution and the median time to the first answer, and per setup the
+median over its executions of the wall time per retrieved document (the
+run's fetch events with status ``ok``) in microseconds; then the median over
 the executions of the ratio NEW/OLD of the two walls of one job.  It exits 1
 when an answer or a count was wrong.
 """
@@ -74,13 +76,18 @@ class Tree:
         self.jobs = [(e.query_id, e.query, engine.Setup(s)) for e in entries for s in setups]
         self.walls: list[float] = []
         self.firsts: list[float] = []
+        self.per_doc: dict[str, list[float]] = {s: [] for s in setups}  # µs per retrieved document
 
     def run(self, k: int, expected: frozenset[str]) -> tuple[bool, tuple[int, ...]]:
         """Run job ``k``; whether its answers were right, and its four counts."""
         _, query, setup = self.jobs[k]
         t0 = perf_counter()
         run = self.execute(query, setup, self.resolver, config=self.config)
-        self.walls.append(perf_counter() - t0)
+        wall = perf_counter() - t0
+        self.walls.append(wall)
+        docs = len(run.retrieved_iris())
+        if docs:
+            self.per_doc[setup.value].append(1e6 * wall / docs)
         m = run.metrics
         if m.first_s is not None:
             self.firsts.append(m.first_s)
@@ -114,6 +121,8 @@ def main(argv: list[str] | None = None) -> int:
                 tree.run(k, wanted[k])
             tree.walls.clear()
             tree.firsts.clear()
+            for runs in tree.per_doc.values():
+                runs.clear()
 
         rng = random.Random(args.seed)
         wrong = mismatched = 0
@@ -135,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name}: query_ms_p50 {1000 * statistics.median(tree.walls):.3f}  "
               f"query_ms_p90 {1000 * statistics.quantiles(tree.walls, n=10)[-1]:.3f}  "
               f"first_answer_ms_p50 {1000 * statistics.median(tree.firsts):.3f}")
+        print("        us_per_doc_p50 " + "  ".join(
+            f"{setup} {statistics.median(runs):.1f}" for setup, runs in tree.per_doc.items() if runs))
     print(f"  median per-job ratio new/old {statistics.median(ratios):.3f}")
     print(f"  wrong answers {wrong}, count mismatches {mismatched}")
     return 1 if wrong or mismatched else 0

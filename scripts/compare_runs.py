@@ -37,7 +37,11 @@ blank-node scope) and the line numbers of its errors.
 The run stage follows.  For each (web, query, setup) run it compares the
 answer keys, the four counts (Results, HTTP, Retrieved, Inferred),
 ``truncated``, the retrieved IRIs, the reason each IRI was requested for,
-and digests of ``FinalState.data`` and ``FinalState.inferred``.
+and digests of ``FinalState.data`` and ``FinalState.inferred``.  For a run
+whose hops are served on the calling thread (every web but the ``-delay0``
+copies), whose fetch order is therefore fixed, it also compares the ordered
+sequence of its fetch events as (IRI, reason, status); the sorted fields
+above cannot see a change of fetch order.
 
 Each stage prints the first difference and exits 1; the script exits 0 when
 every parse and every run matched.
@@ -57,7 +61,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve()
 CHAIN_WORKLOADS = ("long-chain", "sameas-chain")
-FIELDS = ("answers", "counts", "truncated", "retrieved", "reasons", "data", "inferred")
+FIELDS = ("answers", "counts", "truncated", "retrieved", "reasons", "events", "data", "inferred")
 PARSE_FIELDS = ("triples", "errors")
 CORPUS_LINES = 100_000
 CORPUS_DOCS = 3_000
@@ -247,6 +251,7 @@ def run_webs(webs: list[dict], out) -> None:
     config = FetchConfig(max_parallel=2)
     for web in webs:
         resolver = FixtureResolver(web["manifest"])
+        inline = not resolver.may_block  # served on the calling thread, in a fixed order
         redirects = web.get("redirects", {})
         for entry in load_suite(web["suite"]):
             for setup in web["setups"]:
@@ -261,6 +266,7 @@ def run_webs(webs: list[dict], out) -> None:
                     "truncated": m.truncated,
                     "retrieved": sorted(i.value for i in run.retrieved_iris()),
                     "reasons": sorted([e.iri.value, e.reason] for e in run.events),
+                    "events": [[e.iri.value, e.reason, e.status.value] for e in run.events] if inline else None,
                     "data": _digest(run.final.data),
                     "inferred": _digest(run.final.inferred),
                     "shared": len(targets) > len(set(targets)),

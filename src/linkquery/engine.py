@@ -268,6 +268,8 @@ class IncrementalEvaluator:
                     new_matches[i].append(b)
             if hit:
                 matched.append(t)
+        if not matched:
+            return EvalDelta(values=[], solutions=[], matched=[])
         # Each level's new partials: the prior partials (this batch's own
         # excluded: they are registered below) with the new matches, then
         # the previous level's new partials with every match.
@@ -480,14 +482,14 @@ def execute(
             want(c, "vocab")
 
     def scan_speculative(triples: Iterable[Triple]) -> None:
+        """Request the subject and object IRIs of raw triples that matched."""
         for t in triples:
-            if evaluator.matches(canonical_triple(t, store.equiv)):
-                if isinstance(t.subject, Iri):
-                    want(t.subject, "match")
-                if isinstance(t.object, Iri):
-                    want(t.object, "match")
-                if opts.deref_predicates:
-                    want(t.predicate, "match")
+            if isinstance(t.subject, Iri):
+                want(t.subject, "match")
+            if isinstance(t.object, Iri):
+                want(t.object, "match")
+            if opts.deref_predicates:
+                want(t.predicate, "match")
 
     def consume_eval(delta: EvalDelta) -> None:
         nonlocal first_s
@@ -510,23 +512,34 @@ def execute(
         retrieved += len(doc.triples)
         delta = store.ingest(doc.triples)
         raw_order.extend(delta.fresh)
-        rescan = delta.fresh
+        replanned = False
         evals = []
         if delta.retired:
             # A merge re-keyed earlier triples: repair the join state in place.
             evaluator.retract(delta.retracted, delta.retired)
-            rescan = delta.rekeyed + delta.fresh
             pats = [canonical_pattern(p, store.equiv) for p in query.patterns]
             if pats != canon_pats or delta.rechained:
                 # A query constant moved, or the store dropped chained facts
                 # that mention no retired term: rebuild from the live view.
                 canon_pats[:] = pats
-                rescan = raw_order
+                replanned = True
                 evals.append(evaluator.replan(canon_pats, store.view()))
-        evals.append(evaluator.add(delta))
+        added = evaluator.add(delta)
+        evals.append(added)
         # The scan reads the matches just added; its wants precede the deltas'.
+        # It reads the raw triples whose forms may have changed: all of them
+        # after a replan, else the re-keyed and the fresh ones, whose forms the
+        # store computed once, in ``delta.forms``.  A store with neither
+        # owl:sameAs nor rules has the fresh triples as its view delta, so the
+        # matched ones are exactly those the evaluator just reported.
         if speculative:
-            scan_speculative(rescan)
+            if replanned:
+                scan_speculative(t for t in raw_order if evaluator.matches(canonical_triple(t, store.equiv)))
+            elif store.use_sameas or store.use_rhodf:
+                pairs = zip(delta.rekeyed + delta.fresh, delta.forms)
+                scan_speculative(t for t, form in pairs if evaluator.matches(form))
+            else:
+                scan_speculative(added.matched)
         for ev in evals:
             consume_eval(ev)
         if follows_seealso(setup):
@@ -550,7 +563,7 @@ def execute(
     def take(iri: Iri, reason: str, res: DerefResult) -> None:
         """Record a hop's outcome and process its document."""
         nonlocal truncated
-        if res.status == DerefStatus.SKIPPED:
+        if res.status in (DerefStatus.SKIPPED, DerefStatus.TIMED_OUT):  # a limit cut the run short
             truncated = True
         events.append(
             FetchEvent(

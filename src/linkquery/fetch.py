@@ -30,6 +30,7 @@ redirect target for 3xx hops, the iri itself otherwise), u16 status
 from __future__ import annotations
 
 import logging
+import os
 import struct
 import threading
 import time
@@ -103,10 +104,26 @@ class Resolver(Protocol):
 
 # --- fixture webs -----------------------------------------------------------
 
-_Action = tuple  # ("file", Path) | ("redirect", str) | ("status", int) | ("delay", int, _Action)
+_Action = tuple  # ("file", str) | ("redirect", str) | ("status", int) | ("delay", int, _Action)
+
+# Binary mode where the platform has a text mode for descriptors.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 
-def _parse_directive(text: str, base_dir: Path, lineno: int) -> _Action:
+def _read_file(path: str) -> bytes:
+    """The whole file, read to its end on one descriptor; no file object is made."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunk = os.fstat(fd).st_size + 1  # one read for the body, one to see the end
+        parts = []
+        while part := os.read(fd, chunk):
+            parts.append(part)
+        return b"".join(parts)
+    finally:
+        os.close(fd)
+
+
+def _parse_directive(text: str, base_dir: str, lineno: int) -> _Action:
     parts = text.split(None, 1)
     if not parts:
         raise ValueError(f"manifest line {lineno}: empty directive")
@@ -115,7 +132,7 @@ def _parse_directive(text: str, base_dir: Path, lineno: int) -> _Action:
     if kind == "FILE":
         if not rest:
             raise ValueError(f"manifest line {lineno}: FILE needs a path")
-        return ("file", base_dir / rest)
+        return ("file", os.path.join(base_dir, rest))
     if kind == "REDIRECT":
         if not rest:
             raise ValueError(f"manifest line {lineno}: REDIRECT needs a target")
@@ -158,7 +175,7 @@ class FixtureResolver:
         self._clock: Clock = clock or RealClock()
         self._actions: dict[str, _Action] = {}
         self._may_block = False
-        base = path.parent
+        base = os.fspath(path.parent)
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -189,7 +206,7 @@ class FixtureResolver:
             return self._apply(action[2])
         if kind == "file":
             try:
-                return RawResponse(200, body=action[1].read_bytes())
+                return RawResponse(200, body=_read_file(action[1]))
             except OSError as e:
                 raise TransportError(f"fixture file unreadable: {e}") from e
         if kind == "redirect":

@@ -16,11 +16,17 @@ exact after every ingest: the canonical forms of all raw triples plus their
 closure.  Without owl:sameAs every triple is its own canonical form, so the
 view is a set the store keeps anyway: the raw set itself, or with rules the
 chainer's facts, which hold every raw triple and its closure.  With
-owl:sameAs the view is a set of its own.  Raw triples and view forms are then
+owl:sameAs the view is a set of its own, which without rules is also the set
+of canonical forms.  Raw triples and view forms are then
 indexed by the IRIs they mention, so a merge takes out only the forms that
 mention a retired representative and re-canonicalizes only the raw triples
-that touch a moved IRI.  The chainer stays monotone; a chained fact is in
-the view only while every IRI in it is a representative or rule vocabulary.
+that touch a moved IRI.  Each ingest canonicalizes each triple it looks at
+once and hands the forms to the engine with its delta.  The chainer stays
+monotone; a chained fact is in the view only while every IRI in it is a
+representative or rule vocabulary.  Most data facts fire no rule: one whose
+predicate is neither rule vocabulary nor the subject of a subproperty,
+domain or range axiom is only filed by its predicate, where a later axiom
+finds it.
 """
 
 from __future__ import annotations
@@ -95,19 +101,27 @@ def canonical_term(term: Term, eq: EquivalenceClasses) -> Term:
 def canonical_triple(t: Triple, eq: EquivalenceClasses) -> Triple:
     if not eq.version:  # nothing merged yet: every IRI is its own representative
         return t
-    s, p, o = canonical_term(t.subject, eq), eq.rep(t.predicate), canonical_term(t.object, eq)
-    if s is t.subject and p is t.predicate and o is t.object:
+    # Only IRIs are keys; blank nodes and literals are tuples, never equal to one.
+    rep = eq._rep.get
+    s, p, o = t
+    cs, cp, co = rep(s, s), rep(p, p), rep(o, o)
+    if cs is s and cp is p and co is o:
         return t
-    return Triple(s, p, o)
+    # Representatives of IRIs are IRIs, so the result is a valid triple.
+    return tuple.__new__(Triple, (cs, cp, co))
 
 
 class _RhoChainer:
     """Semi-naive fixpoint over the six-rule fragment.
 
     Facts are indexed as they are admitted; each admitted fact fires every
-    rule it can participate in, joining against the indexes.  Conclusions
-    that would not form a valid triple (non-IRI predicate) are dropped; the
-    range rule skips literal objects.
+    rule it can participate in, joining against the indexes.  A batch is
+    admitted in order before any conclusion.  A batch fact whose predicate
+    is neither rule vocabulary nor, at that moment, the subject of a
+    subproperty, domain or range axiom is inert: no rule can fire on it, so
+    it joins only ``facts`` and ``_by_pred``, where an axiom admitted later
+    finds it.  Conclusions that would not form a valid triple (non-IRI
+    predicate) are dropped; the range rule skips literal objects.
     """
 
     def __init__(self) -> None:
@@ -124,26 +138,40 @@ class _RhoChainer:
 
     def add(self, triples: Iterable[Triple]) -> list[Triple]:
         """Admit triples, chase to fixpoint, return newly inferred facts."""
-        queue: deque[tuple[Triple, str | None]] = deque()
+        facts, by_pred = self.facts, self._by_pred
+        subprop, domain, range_ = self._subprop_out, self._domain_of, self._range_of
+        queue: deque[tuple[Triple, str]] = deque()
         queued: set[Triple] = set()
         inferred: list[Triple] = []
-        for t in triples:
-            if t not in self.facts and t not in queued:
-                queue.append((t, None))
-                queued.add(t)
-        while queue:
-            fact, rule = queue.popleft()
-            if fact in self.facts:
-                continue
-            self.facts.add(fact)
-            if rule is not None:
-                inferred.append(fact)
-                self.rule_counts[rule] += 1
+
+        def fire(fact: Triple) -> None:
             self._index(fact)
             for conclusion, via in self._fire(fact):
-                if conclusion not in self.facts and conclusion not in queued:
+                if conclusion not in facts and conclusion not in queued:
                     queue.append((conclusion, via))
                     queued.add(conclusion)
+
+        for t in triples:
+            if t in facts:
+                continue
+            facts.add(t)
+            p = t[1]
+            if p in RHO_VOCABULARY or p in subprop or p in domain or p in range_:
+                fire(t)
+            else:
+                got = by_pred.get(p)
+                if got is None:
+                    by_pred[p] = {t}
+                else:
+                    got.add(t)
+        while queue:
+            fact, rule = queue.popleft()
+            if fact in facts:
+                continue
+            facts.add(fact)
+            inferred.append(fact)
+            self.rule_counts[rule] += 1
+            fire(fact)
         return inferred
 
     def _index(self, t: Triple) -> None:
@@ -231,12 +259,14 @@ class ViewDelta(list):
     retire representatives, ``retired`` names them, ``retracted`` holds the
     view forms that mentioned one (they have left the view) and ``rekeyed``
     the earlier raw triples whose canonical form changed; their new forms are
-    among the additions.  ``rechained`` says the merge moved rule vocabulary,
+    among the additions.  ``forms`` holds the canonical forms of ``rekeyed +
+    fresh``, in that order, as the store computed them; without owl:sameAs it
+    is ``fresh`` itself.  ``rechained`` says the merge moved rule vocabulary,
     so every chained fact was retracted, including ones that mention no
     retired term, and chained again.
     """
 
-    __slots__ = ("fresh", "retired", "retracted", "rekeyed", "rechained")
+    __slots__ = ("fresh", "retired", "retracted", "rekeyed", "forms", "rechained")
 
     def __init__(self, fresh: list[Triple], retired: list[Iri]) -> None:
         super().__init__()
@@ -244,6 +274,7 @@ class ViewDelta(list):
         self.retired = retired
         self.retracted: list[Triple] = []
         self.rekeyed: list[Triple] = []
+        self.forms = fresh
         self.rechained = False
 
 
@@ -259,23 +290,26 @@ class ReasoningStore:
         self._raw: set[Triple] = set()
         self._chainer = _RhoChainer()
         # The canonical forms of the raw triples, and the view.  Without sameAs
-        # they are sets the store keeps anyway (see the module docstring).
+        # they are sets the store keeps anyway (see the module docstring);
+        # with sameAs but no rules the view is exactly the forms.
         self._data: set[Triple] = self._raw
         self._view: set[Triple] = self._chainer.facts if self.use_rhodf else self._raw
         if self.use_sameas:
-            self._data, self._view = set(), set()
+            self._view = set()
+            self._data = set() if self.use_rhodf else self._view
         # With sameAs only: raw triples and view forms by the IRIs they mention.
         self._raw_by_iri: dict[Iri, list[Triple]] = {}
         self._view_by_iri: dict[Iri, list[Triple]] = {}
 
     def ingest(self, triples: Iterable[Triple]) -> ViewDelta:
         """Absorb raw triples; returns the view additions (canonical + inferred)."""
+        raw = self._raw
         fresh = []
-        for t in triples:
-            if t not in self._raw:
-                self._raw.add(t)
-                fresh.append(t)
         if not self.use_sameas:
+            for t in triples:
+                if t not in raw:
+                    raw.add(t)
+                    fresh.append(t)
             delta = ViewDelta(fresh, [])
             if self.use_rhodf:
                 # A fresh triple the chainer already holds was inferred earlier
@@ -286,11 +320,24 @@ class ReasoningStore:
             else:
                 delta += fresh
             return delta
+        raw_by_iri = self._raw_by_iri
         moved: set[Iri] = set()
         retired: list[Iri] = []
-        for t in fresh:
-            if t.predicate == OWL_SAMEAS and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-                gone = self.equiv.merge(t.subject, t.object)
+        for t in triples:
+            if t in raw:
+                continue
+            raw.add(t)
+            fresh.append(t)
+            s, p, o = t
+            for term in t:
+                if isinstance(term, Iri):
+                    got = raw_by_iri.get(term)
+                    if got is None:
+                        raw_by_iri[term] = [t]
+                    else:
+                        got.append(t)
+            if p == OWL_SAMEAS and isinstance(s, Iri) and isinstance(o, Iri):
+                gone = self.equiv.merge(s, o)
                 if gone:
                     moved |= gone
                     retired.append(min(gone))  # the loser's old representative
@@ -312,36 +359,35 @@ class ReasoningStore:
                 counts = self._chainer.rule_counts
                 self._chainer = _RhoChainer()
                 self._chainer.rule_counts = counts
+            # The index already lists this batch, after the earlier triples.
+            batch = set(fresh)
             delta.rekeyed = list(dict.fromkeys(
-                t for iri in sorted(moved) for t in self._raw_by_iri.get(iri, ())
+                t for iri in sorted(moved) for t in raw_by_iri.get(iri, ()) if t not in batch
             ))
-        for t in fresh:
-            for term in t.terms():
-                if isinstance(term, Iri):
-                    self._raw_by_iri.setdefault(term, []).append(t)
-        forms = [canonical_triple(t, self.equiv) for t in delta.rekeyed + fresh]
-        self._data.update(forms)
+        forms = delta.forms = [canonical_triple(t, self.equiv) for t in delta.rekeyed + fresh]
         self._admit(forms, delta)
         return delta
 
     def _admit(self, forms: list[Triple], delta: ViewDelta) -> None:
         """Show the data forms not yet in the view, then what they chain to."""
-        added = []
-        for t in forms:
-            if t not in self._view:
-                added.append(t)
-                self._show(t, delta)
+        view = self._view
+        shown = [t for t in dict.fromkeys(forms) if t not in view]
         if self.use_rhodf:
-            for t in self._chainer.add(self._data if delta.rechained else added):
-                if t not in self._view and self._keyed(t):
-                    self._show(t, delta)
-
-    def _show(self, t: Triple, delta: ViewDelta) -> None:
-        self._view.add(t)
-        delta.append(t)
-        for term in t.terms():
-            if isinstance(term, Iri):
-                self._view_by_iri.setdefault(term, []).append(t)
+            self._data.update(forms)  # without rules the data is the view itself
+            # What the chainer infers is new to it, so none of it is among ``shown``.
+            chained = self._chainer.add(self._data if delta.rechained else shown)
+            shown += [t for t in chained if t not in view and self._keyed(t)]
+        delta += shown
+        view.update(shown)
+        view_by_iri = self._view_by_iri
+        for t in shown:
+            for term in t:
+                if isinstance(term, Iri):
+                    got = view_by_iri.get(term)
+                    if got is None:
+                        view_by_iri[term] = [t]
+                    else:
+                        got.append(t)
 
     def _keyed(self, t: Triple) -> bool:
         """Whether a chained fact is in the closure of the current data.

@@ -158,6 +158,21 @@ def test_evaluator_reports_each_solution_once():
     assert ev.add([t]).solutions == []
 
 
+def test_a_batch_that_matches_nothing_changes_nothing():
+    ev = IncrementalEvaluator(plan_order([TriplePattern(S, P1, X), TriplePattern(X, P2, Y)]))
+    held = [Triple(S, P1, I("a")), Triple(I("a"), P2, I("b")), Triple(S, P1, I("c"))]
+    ev.add(held)
+    before = {binding_text(s) for s in ev.solutions()}
+    misses = [Triple(S, I("p3"), I("a")), Triple(I("a"), P1, S), Triple(I("c"), I("p3"), Literal("v"))]
+    delta = ev.add(misses)
+    assert (delta.values, delta.solutions, delta.matched) == ([], [], [])
+    assert {binding_text(s) for s in ev.solutions()} == before == {binding_text({"x": I("a"), "y": I("b")})}
+    assert [ev.matches(t) for t in held + misses] == [True] * 3 + [False] * 3
+    # The join state still takes the next match.
+    assert {binding_text(s) for s in ev.add([Triple(I("c"), P2, I("d"))]).solutions} == {
+        binding_text({"x": I("c"), "y": I("d")})}
+
+
 def test_triple_matching_only_a_later_pattern_binds_nothing():
     # bindings must extend join-consistent prefixes of the plan, not any pattern
     pats = [TriplePattern(S, P1, X), TriplePattern(X, P2, Y)]
@@ -449,6 +464,11 @@ def test_roots_waiting_on_a_hop_that_outlasts_the_timeout_share_it(write_web):
     assert {e.iri.value: e.status for e in run.events} == {
         NS + "s": DerefStatus.OK, NS + "a": DerefStatus.TIMED_OUT, NS + "b": DerefStatus.TIMED_OUT}
     assert run.metrics.http_lookups == 4
+    assert run.metrics.truncated is True
+    # The same web with a timeout the hop does not outlast: nothing was cut short.
+    untimed = execute(q(CHAIN_Q), Setup.BASE, resolver, config=FetchConfig(timeout_ms=5000, max_parallel=4))
+    assert {e.status for e in untimed.events} == {DerefStatus.OK}
+    assert untimed.metrics.truncated is False
 
 
 def test_a_resolver_crash_on_a_shared_hop_makes_execute_raise(write_web):

@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -77,6 +78,20 @@ def test_fixture_missing_file_is_transport_error(tmp_path):
     (tmp_path / "manifest.tsv").write_text(f"{A}\tFILE gone.nt\n")
     with pytest.raises(TransportError):
         FixtureResolver(tmp_path).resolve(A, 1.0)
+
+
+def test_fixture_directory_is_transport_error(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "manifest.tsv").write_text(f"{A}\tFILE sub\n")
+    with pytest.raises(TransportError):
+        FixtureResolver(tmp_path).resolve(A, 1.0)
+
+
+def test_fixture_reads_a_large_file_whole(tmp_path):
+    body = random.Random(5).randbytes(200 * 1024 + 7)
+    (tmp_path / "big.nt").write_bytes(body)
+    (tmp_path / "manifest.tsv").write_text(f"{A}\tFILE big.nt\n")
+    assert FixtureResolver(tmp_path).resolve(A, 1.0).body == body
 
 
 # -- dereference statuses -------------------------------------------------------

@@ -21,6 +21,8 @@ from linkquery.reasoner import (
     RHO_VOCABULARY,
     EquivalenceClasses,
     ReasoningStore,
+    _RhoChainer,
+    canonical_triple,
     rho_df_closure,
 )
 
@@ -137,6 +139,54 @@ def test_incremental_chaining_equals_batch_closure():
         store.ingest(data[cut:])
         final = store.finalize()
         assert set(final.inferred) == naive_rho_closure(data)
+
+
+_SOME_C, _SOME_P, _SOME_X = (st.sampled_from(terms[:3]) for terms in (C, P, X))
+_RHO_TRIPLES = st.one_of(
+    st.builds(Triple, _SOME_C, st.just(RDFS_SUBCLASSOF), _SOME_C),
+    st.builds(Triple, _SOME_P, st.just(RDFS_SUBPROPERTYOF), st.one_of(_SOME_P, st.just(Literal("junk")))),
+    st.builds(Triple, _SOME_X, st.just(RDF_TYPE), _SOME_C),
+    st.builds(Triple, _SOME_P, st.sampled_from([RDFS_DOMAIN, RDFS_RANGE]), _SOME_C),
+    st.builds(Triple, _SOME_X, _SOME_P, st.one_of(_SOME_X, st.just(Literal("v")))),
+    # Schema as data: vocabulary in subject position, or a schema predicate
+    # that a subproperty axiom rewrites.
+    st.builds(Triple, st.one_of(_SOME_P, st.sampled_from([RDFS_SUBCLASSOF, RDF_TYPE])),
+              st.one_of(_SOME_P, st.sampled_from(sorted(RHO_VOCABULARY))), st.one_of(_SOME_C, _SOME_P)),
+)
+
+
+@given(st.lists(_RHO_TRIPLES, max_size=30), st.lists(st.integers(0, 30), max_size=6))
+def test_chainer_fed_in_batches_reaches_the_fixpoint(data, cuts):
+    # Batches cut anywhere put schema facts before, inside and after the
+    # data they govern, so facts on a predicate are admitted both before
+    # and after the axioms on it.
+    chainer = _RhoChainer()
+    inferred = []
+    bounds = [0, *sorted(cuts), len(data)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        inferred += chainer.add(data[lo:hi])
+    assert chainer.facts == set(data) | naive_rho_closure(data)
+    assert len(inferred) == len(set(inferred)) == sum(chainer.rule_counts.values())
+
+
+@pytest.mark.parametrize(
+    "axiom, conclusion",
+    [
+        (Triple(P[0], RDFS_SUBPROPERTYOF, P[1]), Triple(X[0], P[1], X[1])),
+        (Triple(P[0], RDFS_DOMAIN, C[0]), Triple(X[0], RDF_TYPE, C[0])),
+        (Triple(P[0], RDFS_RANGE, C[0]), Triple(X[1], RDF_TYPE, C[0])),
+    ],
+    ids=["subproperty", "domain", "range"],
+)
+def test_an_axiom_in_a_later_ingest_reaches_earlier_data(axiom, conclusion):
+    # The data comes first, when nothing is said of its predicate: it fires
+    # no rule, and the axiom must find it by its predicate.
+    store = ReasoningStore(use_rhodf=True)
+    assert store.ingest([Triple(X[0], P[0], X[1]), Triple(X[2], P[2], X[3])]) == [
+        Triple(X[0], P[0], X[1]), Triple(X[2], P[2], X[3])]
+    assert store.ingest([axiom]) == [axiom, conclusion]
+    assert store.finalize().inferred == {conclusion}
+    assert sum(store.rule_counts().values()) == 1
 
 
 # -- equivalence classes ------------------------------------------------------
@@ -296,6 +346,7 @@ def test_store_view_is_exact_after_every_ingest(seed, use_sameas, use_rhodf):
         cut = rng.randrange(1, 5)
         batch, data = data[:cut], data[cut:]
         delta = store.ingest(batch)
+        assert delta.forms == [canonical_triple(t, store.equiv) for t in delta.rekeyed + delta.fresh]
         listed.subtract(delta.retracted)
         listed.update(delta)
         raw |= set(batch)
