@@ -28,6 +28,18 @@ median over its executions of the wall time per retrieved document (the
 run's fetch events with status ``ok``) in microseconds; then the median over
 the executions of the ratio NEW/OLD of the two walls of one job.  It exits 1
 when an answer or a count was wrong.
+
+    python3 scripts/ab_inprocess.py OLD_ROOT NEW_ROOT --workload long-chain --seed 7 --passes 15 --parse
+
+With ``--parse`` it times only the two trees' ``parse_ntriples``, on the
+web's ``.nt`` documents in three variants: as written, with one comment line
+put first, and with one bad line put last.  A pass parses every document of
+a variant on both trees, in an order drawn per pass, in groups of
+``PARSE_GROUP`` documents that share one lent IRI table (``rdf.RUN_IRIS``),
+as the documents of a run do.  It prints, per variant, each tree's median
+CPU milliseconds per pass and the median over the passes of the ratio
+NEW/OLD, and exits 1 when the two trees' triples or error line numbers
+differ on some document.
 """
 
 from __future__ import annotations
@@ -41,11 +53,17 @@ import statistics
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 HERE = Path(__file__).resolve()
 WORKLOADS = ("long-chain", "sameas-chain")
 WARMUP_JOBS = 5
+PARSE_GROUP = 35  # documents per lent IRI table under --parse
+PARSE_VARIANTS = {
+    "as written": lambda doc: doc,
+    "one comment line": lambda doc: b"# a comment\n" + doc,
+    "one bad line": lambda doc: doc + b"not a triple\n",
+}
 
 
 def load_tree(root: Path, name: str, into: Path):
@@ -95,13 +113,51 @@ class Tree:
         return not m.truncated and run.answer_keys() == expected, counts
 
 
+def parse_pass(rdf, docs: list[bytes]) -> tuple[float, list]:
+    """Parse ``docs`` in groups that share a lent IRI table: the CPU seconds, and each parse."""
+    parsed = []
+    t0 = process_time()
+    for start in range(0, len(docs), PARSE_GROUP):
+        lent = rdf.RUN_IRIS.set({})
+        try:
+            parsed += [rdf.parse_ntriples(doc, "d") for doc in docs[start:start + PARSE_GROUP]]
+        finally:
+            rdf.RUN_IRIS.reset(lent)
+    return process_time() - t0, parsed
+
+
+def compare_parsers(label: str, rdfs: dict, web: Path, passes: int, seed: int) -> int:
+    """Time both trees' parser on the web's documents; 1 if their parses differ."""
+    written = [path.read_bytes() for path in sorted(web.rglob("*.nt"))]
+    rng = random.Random(seed)
+    print(f"{label}: {len(written)} documents, {passes} passes, groups of {PARSE_GROUP} per IRI table")
+    differ = 0
+    for variant, change in PARSE_VARIANTS.items():
+        docs = [change(doc) for doc in written]
+        outcome = {name: parse_pass(rdf, docs)[1] for name, rdf in rdfs.items()}  # also the warm-up
+        for (old_t, old_e), (new_t, new_e) in zip(outcome["old"], outcome["new"]):
+            differ += old_t != new_t or [e.line for e in old_e] != [e.line for e in new_e]
+        cpu: dict[str, list[float]] = {name: [] for name in rdfs}
+        for _ in range(passes):
+            for name in sorted(rdfs, key=lambda _: rng.random()):
+                gc.collect()
+                cpu[name].append(parse_pass(rdfs[name], docs)[0])
+        ratio = statistics.median(n / o for o, n in zip(cpu["old"], cpu["new"]))
+        medians = "  ".join(f"{name} {1000 * statistics.median(runs):.1f} ms" for name, runs in cpu.items())
+        print(f"  {variant}: {medians}  median ratio new/old {ratio:.3f}")
+    print(f"  documents parsed differently {differ}")
+    return 1 if differ else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("old_root", type=Path)
     parser.add_argument("new_root", type=Path)
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, default=7, help="web seed, and the seed of the run order (default 7)")
-    parser.add_argument("--passes", type=int, default=5, help="passes over every job (default 5)")
+    parser.add_argument("--passes", type=int, default=5,
+                        help="passes over every job, or over the documents with --parse (default 5)")
+    parser.add_argument("--parse", action="store_true", help="time only the parsers, on the web's documents")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(HERE.parent.parent / "perfbench"))
     import scalegen
@@ -111,6 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, str(tmp_path))
         spec = scalegen.PRESETS[args.workload]
         web = scalegen.generate(spec, args.seed, tmp_path / "web")
+        if args.parse:
+            for name, root in (("old", args.old_root), ("new", args.new_root)):
+                load_tree(root.resolve(), f"lq_{name}", tmp_path)
+            rdfs = {name: importlib.import_module(f"lq_{name}.rdf") for name in ("old", "new")}
+            return compare_parsers(f"{args.workload}, seed {args.seed}", rdfs, web, args.passes, args.seed)
         trees = {name: Tree(load_tree(root.resolve(), f"lq_{name}", tmp_path), web, spec.setups)
                  for name, root in (("old", args.old_root), ("new", args.new_root))}
         old, new = trees["old"], trees["new"]

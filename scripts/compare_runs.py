@@ -27,9 +27,10 @@ The parse stage comes first.  OLD_ROOT also writes a parse corpus once:
 ``CORPUS_LINES`` seeded lines put together from N-Triples term fragments,
 good and bad escapes, language tags, datatypes, term boundaries and stray
 characters; ``CORPUS_DOCS`` documents of 20 to 60 lines, nearly all of them
-triple lines, some ending in a newline or a blank line, so that both the
-parser's whole-document scan and its line-by-line reading are compared; and
-``CORPUS_BYTES`` seeded random byte strings.  Each root
+triple lines, some ending in a newline or a blank line, so that the
+parser's reading of a fuzzed line among triple lines, and its line numbers
+across a document, are compared; and ``CORPUS_BYTES`` seeded random byte
+strings.  Each root
 parses every corpus entry and every ``.nt`` document of the webs with
 ``parse_ntriples``; the stage compares each entry's triples (term text plus
 blank-node scope) and the line numbers of its errors.
@@ -199,8 +200,8 @@ def doc_line(rng: random.Random) -> str:
 
 
 def corpus_doc(rng: random.Random) -> str:
-    """A document of 20-60 lines, most of them triple lines, so that many
-    such documents are read by the parser's whole-document scan."""
+    """A document of 20-60 lines, most of them triple lines and now and then
+    a fuzzed line among them."""
     lines = [corpus_line(rng) if rng.random() < 0.02 else doc_line(rng) for _ in range(rng.randint(*DOC_LINES))]
     return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(DOC_TAILS)
 

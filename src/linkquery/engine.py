@@ -517,11 +517,12 @@ def execute(
         if delta.retired:
             # A merge re-keyed earlier triples: repair the join state in place.
             evaluator.retract(delta.retracted, delta.retired)
-            pats = [canonical_pattern(p, store.equiv) for p in query.patterns]
-            if pats != canon_pats or delta.rechained:
+            # Each constant of ``canon_pats`` is a representative, so it moved
+            # exactly when it retired.
+            if delta.rechained or any(t in delta.retired for p in canon_pats for t in p.terms()):
                 # A query constant moved, or the store dropped chained facts
                 # that mention no retired term: rebuild from the live view.
-                canon_pats[:] = pats
+                canon_pats[:] = [canonical_pattern(p, store.equiv) for p in query.patterns]
                 replanned = True
                 evals.append(evaluator.replan(canon_pats, store.view()))
         added = evaluator.add(delta)
@@ -585,7 +586,6 @@ def execute(
             iri, reason = pending.popleft()
             take(iri, reason, manager.dereference(iri))
     else:
-        deadline = t0 + cfg.deadline_ms / 1000.0
         in_flight: dict[Future, str] = {}  # one future per hop out on the pool
         parked: dict[str, list[tuple[Iri, str, Generator]]] = {}  # hop -> the roots' chases waiting on it
         # Not a ``with`` block: joining the pool would wait out fetches that
@@ -610,7 +610,8 @@ def execute(
                     step(iri, reason, manager.chase(iri), None)
                 if not in_flight:
                     break
-                done, _ = wait(list(in_flight), timeout=max(0.0, deadline - clk.now()), return_when=FIRST_COMPLETED)
+                timeout = max(0.0, manager.deadline - clk.now())
+                done, _ = wait(list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
                 if not done:
                     # The deadline passed: skip every parked root.  A hop cancelled unstarted was never looked up.
                     manager.lookups_used -= sum(fut.cancel() for fut in in_flight)

@@ -431,7 +431,7 @@ class DereferenceManager:
         self._resolver = resolver
         self._cfg = config or FetchConfig()
         self._clock: Clock = clock or RealClock()
-        self._start = self._clock.now()
+        self.deadline = self._clock.now() + self._cfg.deadline_ms / 1000.0  # on this clock; no hop starts after it
         self.lookups_used = 0
         self._outcomes: dict[str, object] = {}  # hop IRI -> RawResponse or _TIMEOUT, None while out
         self._host_locks: dict[str, threading.Lock] = {}
@@ -456,7 +456,6 @@ class DereferenceManager:
         current = root.value  # and its text, which scopes the document's blank nodes
         hops = 0
         follows = 0
-        deadline_s = self._cfg.deadline_ms / 1000.0
 
         def done(status: DerefStatus, **kw: object) -> DerefResult:
             return DerefResult(
@@ -468,7 +467,7 @@ class DereferenceManager:
             )
 
         while True:
-            if self._clock.now() - self._start > deadline_s:
+            if self._clock.now() > self.deadline:
                 return done(DerefStatus.SKIPPED, detail="deadline exhausted")
             if current not in self._outcomes:
                 if self.lookups_used >= self._cfg.max_lookups:

@@ -23,12 +23,13 @@ The reader accepts this dialect of N-Triples:
 - a ``# comment`` may follow the terminating ``.``, or fill a line;
 - any other line is recorded as a ParseError for that line and skipped.
 
-A valid line is read with one whole-line regex whose IRI groups carry the IRI
+Every document is read by one regex scan over its whole text, one match per
+line. A valid line matches the line grammar, whose IRI groups carry the IRI
 check, so an IRI without escapes is checked once, by that match, and not
-again when it becomes an ``Iri``. Any line that regex does not match, an IRI
-that fails the check among them, goes to the term scanner, which reports why.
-A document whose lines are all triple lines is read by one scan of the same
-grammar over the whole text; any other is read line by line.
+again when it becomes an ``Iri``. A blank or comment line matches as such.
+Any other line, an IRI that fails the check among them, goes to the term
+scanner, which reports why, or reads the few triples the line grammar does
+not cover (an IRI whose scheme is escaped).
 
 Documents retrieved together keep naming the same IRIs, so a fetcher may lend
 the parser one IRI table for all the documents of a run (``RUN_IRIS``); they
@@ -88,16 +89,17 @@ _LINE_END = r"[ \t]*\.[ \t]*(?:#.*)?"
 _LINE_IRI = rf"<({_SCHEME}{_IRI_CHAR}*(?:(?:{_UCHAR}){_IRI_CHAR}*)*)>"
 # Unlike the term grammar's, its literal body takes no \n (a line has none).
 _LINE_LITERAL = rf'"([^"\\\n]*(?:(?:{_UCHAR}|\\[tbnrf"\'\\])[^"\\\n]*)*)"'
-_LINE_RE = re.compile(
+_LINE = (
     rf"[ \t]*(?:{_LINE_IRI}|{_BNODE})[ \t]*{_LINE_IRI}"
     rf"[ \t]*(?:{_LINE_IRI}|{_BNODE}|{_LINE_LITERAL}(?:{_LANG}|\^\^{_LINE_IRI})?)"
     + _LINE_END
 )
-# The line grammar over a whole document, one match per triple line: a match
-# runs from the start of a line to its end, with a \r allowed before that
-# end. No part of the line grammar takes a \n, so no match crosses a line,
-# and the matches are as many as the lines only when every line is one.
-_DOC_RE = re.compile("^" + _LINE_RE.pattern + r"\r?$", re.M)
+# The line grammar over a whole document, one match per line: a match runs
+# from the start of a line to its end, with a \r allowed before that end, and
+# no alternative takes a \n. A triple line fills the line grammar's eight
+# groups, a blank or comment line none, and any other line only the ninth,
+# which holds the line without its final \r.
+_DOC_RE = re.compile(rf"^(?:{_LINE}|[ \t]*(?:#.*)?|(.*?))\r?$", re.M)
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _BLANK_LINE_RE = re.compile(r"[ \t]*(?:#|$)")
 _LINE_END_RE = re.compile(_LINE_END)
@@ -279,10 +281,9 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
     ParseError(line, reason) and skipped. Blank nodes are scoped to doc_scope.
     Never raises on document content.
 
-    A document whose lines are all triple lines is read by one scan of
-    ``_DOC_RE``; any other goes line by line. IRIs come from the table in
-    ``RUN_IRIS`` when a fetcher lends one, and from a table of this
-    document's own otherwise.
+    One scan of ``_DOC_RE`` reads every line of the document. IRIs come from
+    the table in ``RUN_IRIS`` when a fetcher lends one, and from a table of
+    this document's own otherwise.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8", errors="replace")
@@ -303,52 +304,33 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
             got = iris[body] = iris[decoded] = known(decoded) or Iri(decoded)
         return got
 
-    def triple(row: tuple[str, ...]) -> Triple:
-        """The triple of one line grammar match, its absent groups ''; raises
-        ValueError for an escaped IRI that fails its check once decoded."""
-        s_iri, s_label, p, o_iri, o_label, lexical, language, datatype = row
-        # No IRI, label, tag or datatype matches empty, so '' means absent.
-        s = (known(s_iri) or iri(s_iri)) if s_iri else BlankNode(s_label, doc_scope)
-        p = known(p) or iri(p)
-        if o_iri:
-            o = known(o_iri) or iri(o_iri)
-        elif o_label:
-            o = BlankNode(o_label, doc_scope)
-        else:
-            if datatype and "\\" in datatype:
-                datatype = (known(datatype) or iri(datatype)).value
-            # The line regex admits a tag or a datatype, never both.
-            o = tuple.__new__(Literal, (_unescape(lexical), datatype or None, language or None))
-        # The line regex admits no literal subject and only an IRI predicate.
-        return tuple.__new__(Triple, (s, p, o))
-
+    # No IRI, label, tag or datatype matches empty, so '' means absent. A
+    # final \n leaves one empty row after it, a blank one.
     rows = _DOC_RE.findall(text)
-    if len(rows) == text.count("\n") + (text[-1:] not in ("", "\n")):  # every line a triple line
-        for lineno, row in enumerate(rows, start=1):
-            try:
-                triples.append(triple(row))
-            except ValueError as e:
-                errors.append(ParseError(lineno, str(e)))
-        return triples, errors
-
-    # split on \n / \r\n only: exotic codepoints like U+0085 or U+2028 are
-    # ordinary content inside terms, not line breaks
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    line_match = _LINE_RE.fullmatch
-    for lineno, line in enumerate(lines, start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        m = line_match(line)
+    for lineno, (s_iri, s_label, p, o_iri, o_label, lexical, language, datatype, other) in enumerate(rows, start=1):
         try:
-            # no match (blank, comment or malformed): the term scanner decides
-            t = _parse_line(line, doc_scope) if m is None else triple(m.groups(""))
+            if s_iri or s_label:
+                s = (known(s_iri) or iri(s_iri)) if s_iri else BlankNode(s_label, doc_scope)
+                p = known(p) or iri(p)
+                if o_iri:
+                    o = known(o_iri) or iri(o_iri)
+                elif o_label:
+                    o = BlankNode(o_label, doc_scope)
+                else:
+                    if datatype and "\\" in datatype:
+                        datatype = (known(datatype) or iri(datatype)).value
+                    # The line regex admits a tag or a datatype, never both.
+                    o = tuple.__new__(Literal, (_unescape(lexical), datatype or None, language or None))
+                # The line regex admits no literal subject and only an IRI predicate.
+                triples.append(tuple.__new__(Triple, (s, p, o)))
+            elif other:
+                # Neither a triple nor a blank line to the line grammar: the term
+                # scanner raises why, or reads a triple such as one whose IRI
+                # has an escaped scheme, whose IRIs then join the table.
+                t = _parse_line(other, doc_scope)
+                triples.append(tuple.__new__(Triple, [iris.setdefault(x, x) if type(x) is Iri else x for x in t]))
         except ValueError as e:  # scan errors and decoded IRIs that fail their check
             errors.append(ParseError(lineno, str(e)))
-            continue
-        if t is not None:
-            triples.append(t)
     return triples, errors
 
 

@@ -128,6 +128,7 @@ _S, _P = "<http://a.example/s>", "<http://a.example/p>"
         (f"{_S} <http://a/{{x}}> <http://a/o> .", False),
         (f"{_S} {_P} <http://a/`> .", False),
         (f'{_S} {_P} "x"^^<http://a/\\u007B> .', False),
+        (f"<\\u0068ttp://a/s> {_P} <http://a/o> .", True),  # only the term scanner reads an escaped scheme
     ],
 )
 def test_accepted_dialect(line, accepted):
@@ -138,21 +139,31 @@ def test_accepted_dialect(line, accepted):
         assert triples == [] and [e.line for e in errors] == [1] and errors[0].reason
 
 
+_TRIPLE_LINE = f"{_S} {_P} <http://a/o> .\n"
+
+
 @pytest.mark.parametrize(
-    "line, n_triples",
+    "doc, n_triples, n_errors",
     [
-        (f'{_S} {_P} "' + '\\"' * 300_000, 0),  # unterminated literal of escaped quotes
-        (f'{_S} {_P} "' + "a" * 600_000, 0),  # unterminated plain literal
-        ("<" * 600_000, 0),
-        ("_:" + "b" * 600_000 + f" {_P} <http://a/o> .", 1),
-        (f'{_S} {_P} "x"@a' + "-a" * 300_000 + " .", 1),
+        (f'{_S} {_P} "' + '\\"' * 300_000, 0, 1),  # unterminated literal of escaped quotes
+        (f'{_S} {_P} "' + "a" * 600_000, 0, 1),  # unterminated plain literal
+        ("<" * 600_000, 0, 1),
+        ("_:" + "b" * 600_000 + f" {_P} <http://a/o> .", 1, 0),
+        (f'{_S} {_P} "x"@a' + "-a" * 300_000 + " .", 1, 0),
+        # Whole documents: a hostile line between triple lines, and many short
+        # bad or comment lines among them.
+        pytest.param(_TRIPLE_LINE + "<" * 600_000 + "\n" + _TRIPLE_LINE, 2, 1, id="brackets-between-triples"),
+        pytest.param(_TRIPLE_LINE + f'{_S} {_P} "' + "a" * 600_000 + "\r\n" + _TRIPLE_LINE, 2, 1,
+                     id="literal-between-triples"),
+        pytest.param((_TRIPLE_LINE + "bad line\n") * 100_000, 100_000, 100_000, id="bad-lines-among-triples"),
+        pytest.param((_TRIPLE_LINE + "# c\n") * 100_000, 100_000, 0, id="comment-lines-among-triples"),
     ],
 )
-def test_hostile_lines_parse_in_linear_time(line, n_triples):
+def test_hostile_lines_parse_in_linear_time(doc, n_triples, n_errors):
     start = time.perf_counter()
-    triples, errors = parse_ntriples(line, doc_scope="d")
+    triples, errors = parse_ntriples(doc, doc_scope="d")
     assert time.perf_counter() - start < 2.0
-    assert (len(triples), len(errors)) == (n_triples, 1 - n_triples)
+    assert (len(triples), len(errors)) == (n_triples, n_errors)
 
 
 # Term fragments, among them the places where a whole-line match could end a
@@ -165,6 +176,7 @@ _TERMS = (
     '"x"', '"x"@en', '"x"@en-', '"x"@en-1a', '"x"@en-1a.', '"x"^^<http://a/d>', '"x"^^<http://a/d>.',
     '"x"^^<rel>', '"\\t\\u00E9"', '"x"@', '"x"^^', '"x',
     "<1a:b>", "<http://a/{x}>", "<http://a/`>", "<http://a/\\u007B>", '"x"^^<http://a/\\u007B>',
+    "<\\u0068ttp://a/s>",
 )
 _GAPS = ("", "", " ", "\t")
 _ENDS = (" .", ".", " . # c") * 4 + ("", " . x", "-", "_:b .", "#")
@@ -412,10 +424,9 @@ _bad_lines = _lines.filter(lambda line: _scanned(line)[1])
 
 @settings(max_examples=300)
 @given(st.lists(_triple_lines, min_size=1, max_size=10), _bad_lines, st.data())
-def test_one_bad_line_sends_a_document_line_by_line(lines, bad, data):
-    """A bad line added to a document of triple lines, which sends it line by
-    line unless the scan matches that line too, leaves the other triples as
-    they were and is reported under its own line number."""
+def test_one_bad_line_leaves_the_rest_of_a_document_as_it_was(lines, bad, data):
+    """A bad line added to a document of triple lines leaves the other
+    triples as they were and is reported under its own line number."""
     text = "\n".join(lines) + data.draw(st.sampled_from(("", "\n", "\r\n")))
     at = data.draw(st.integers(0, len(lines)))
     triples, errors = parse_ntriples(text, "d")
