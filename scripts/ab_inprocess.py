@@ -38,8 +38,8 @@ a variant on both trees, in an order drawn per pass, in groups of
 ``PARSE_GROUP`` documents that share one lent IRI table (``rdf.RUN_IRIS``),
 as the documents of a run do.  It prints, per variant, each tree's median
 CPU milliseconds per pass and the median over the passes of the ratio
-NEW/OLD, and exits 1 when the two trees' triples or error line numbers
-differ on some document.
+NEW/OLD, and exits 1 when the two trees' triples, or the line numbers or
+reasons of their errors, differ on some document.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def compare_parsers(label: str, rdfs: dict, web: Path, passes: int, seed: int) -
         docs = [change(doc) for doc in written]
         outcome = {name: parse_pass(rdf, docs)[1] for name, rdf in rdfs.items()}  # also the warm-up
         for (old_t, old_e), (new_t, new_e) in zip(outcome["old"], outcome["new"]):
-            differ += old_t != new_t or [e.line for e in old_e] != [e.line for e in new_e]
+            differ += old_t != new_t or [(e.line, e.reason) for e in old_e] != [(e.line, e.reason) for e in new_e]
         cpu: dict[str, list[float]] = {name: [] for name in rdfs}
         for _ in range(passes):
             for name in sorted(rdfs, key=lambda _: rng.random()):

@@ -33,7 +33,7 @@ across a document, are compared; and ``CORPUS_BYTES`` seeded random byte
 strings.  Each root
 parses every corpus entry and every ``.nt`` document of the webs with
 ``parse_ntriples``; the stage compares each entry's triples (term text plus
-blank-node scope) and the line numbers of its errors.
+blank-node scope) and the line number and reason of each of its errors.
 
 The run stage follows.  For each (web, query, setup) run it compares the
 answer keys, the four counts (Results, HTTP, Retrieved, Inferred),
@@ -232,7 +232,7 @@ def parse_all(workdir: Path, webs: list[dict], out) -> None:
         out.write(json.dumps({
             "run": [name],
             "triples": [" ".join(_term_text(x) for x in t.terms()) for t in triples],
-            "errors": [e.line for e in errors],
+            "errors": [[e.line, e.reason] for e in errors],
         }) + "\n")
 
     corpus = json.loads((workdir / "corpus.json").read_text(encoding="utf-8"))

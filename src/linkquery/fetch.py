@@ -393,6 +393,7 @@ class DerefStatus(str, Enum):
     HTTP_ERROR = "http-error"
     PARSE_FAILURE = "parse-failure"
     TIMED_OUT = "timed-out"
+    TRANSPORT_FAILURE = "transport-failure"
     TOO_MANY_REDIRECTS = "too-many-redirects"
     SKIPPED = "skipped"
 
@@ -411,7 +412,8 @@ class DerefResult:
     detail: str = ""
 
 
-_TIMEOUT = object()  # hop outcome for transport failures
+_TIMEOUT = object()  # hop outcome for an overrun of ``timeout_ms``
+_TRANSPORT_FAILURE = object()  # hop outcome for a ``TransportError``
 
 
 class DereferenceManager:
@@ -433,7 +435,7 @@ class DereferenceManager:
         self._clock: Clock = clock or RealClock()
         self.deadline = self._clock.now() + self._cfg.deadline_ms / 1000.0  # on this clock; no hop starts after it
         self.lookups_used = 0
-        self._outcomes: dict[str, object] = {}  # hop IRI -> RawResponse or _TIMEOUT, None while out
+        self._outcomes: dict[str, object] = {}  # hop IRI -> its outcome, None while out
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
         self._iris: dict[str, Iri] = {}  # the run's IRI table, lent to the parser
@@ -449,8 +451,9 @@ class DereferenceManager:
             outcome = self.request(hop)
 
     def chase(self, root: Iri) -> Generator[str, object, DerefResult]:
-        """Yield each hop of ``root`` whose outcome is unknown, to be sent it (a ``RawResponse``
-        or ``_TIMEOUT``), and return the result.  Budget is reserved on a hop's first yield."""
+        """Yield each hop of ``root`` whose outcome is unknown, to be sent it (a ``RawResponse``,
+        ``_TIMEOUT`` or ``_TRANSPORT_FAILURE``), and return the result.  Budget is reserved on a
+        hop's first yield."""
         t_start = self._clock.now()
         here = root  # the checked IRI of the current hop
         current = root.value  # and its text, which scopes the document's blank nodes
@@ -480,6 +483,8 @@ class DereferenceManager:
             hops += 1
             if outcome is _TIMEOUT:
                 return done(DerefStatus.TIMED_OUT, detail=current)
+            if outcome is _TRANSPORT_FAILURE:
+                return done(DerefStatus.TRANSPORT_FAILURE, detail=current)
             resp: RawResponse = outcome  # type: ignore[assignment]
             if 300 <= resp.status < 400:
                 if not resp.location:
@@ -500,7 +505,7 @@ class DereferenceManager:
                 triples, errors = parse_ntriples(resp.body, doc_scope=current)
             finally:
                 RUN_IRIS.reset(lent)
-            if resp.body.strip() and not triples and errors:
+            if errors and not triples and resp.body.strip():
                 return done(
                     DerefStatus.PARSE_FAILURE,
                     http_status=resp.status,
@@ -510,7 +515,7 @@ class DereferenceManager:
             return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=here)
 
     def request(self, iri: str):
-        """Perform one hop: its ``RawResponse``, or ``_TIMEOUT`` on a transport failure or an overrun."""
+        """Perform one hop: its ``RawResponse``, ``_TRANSPORT_FAILURE`` or ``_TIMEOUT`` on an overrun."""
         if not self._resolver.is_local and self._cfg.politeness_delay_ms:
             host = urlsplit(iri).netloc
             with self._host_locks.setdefault(host, threading.Lock()):  # atomic, as workers call this
@@ -530,7 +535,7 @@ class DereferenceManager:
             resp = self._resolver.resolve(iri, timeout_s)
         except TransportError as e:
             log.debug("transport failure for %s: %s", iri, e)
-            return _TIMEOUT
+            return _TRANSPORT_FAILURE
         if self._clock.now() - t0 > timeout_s:
             # Local resolvers do not enforce the timeout themselves; a
             # fixture delay longer than the timeout still counts as one.

@@ -24,17 +24,18 @@ The reader accepts this dialect of N-Triples:
 - any other line is recorded as a ParseError for that line and skipped.
 
 Every document is read by one regex scan over its whole text, one match per
-line. A valid line matches the line grammar, whose IRI groups carry the IRI
-check, so an IRI without escapes is checked once, by that match, and not
-again when it becomes an ``Iri``. A blank or comment line matches as such.
-Any other line, an IRI that fails the check among them, goes to the term
-scanner, which reports why, or reads the few triples the line grammar does
-not cover (an IRI whose scheme is escaped).
+line; a ``>`` put at the end of every line keeps each match on its line. A
+valid line matches the line grammar, whose IRI groups take any text up to
+the next ``>`` and check nothing. A blank or comment line matches as such.
+Any other line goes to the term scanner, which reports why it is not a
+triple.
 
-Documents retrieved together keep naming the same IRIs, so a fetcher may lend
-the parser one IRI table for all the documents of a run (``RUN_IRIS``); they
-then share one ``Iri`` per IRI. Without a lent table each document has one of
-its own.
+The IRI check runs when an IRI group's text first enters the parser's IRI
+table, so it runs once per distinct IRI, not once per occurrence. Documents
+retrieved together keep naming the same IRIs, so a fetcher may lend the
+parser one IRI table for all the documents of a run (``RUN_IRIS``); they
+then share one ``Iri`` per IRI, checked once per run. Without a lent table
+each document has one of its own.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ _LITERAL_ESCAPES = str.maketrans(
 # plain* (escape plain*)*, so that a line with no closing quote or bracket
 # fails in linear time. \U stops at U+10FFFF.
 _UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}"
-_IRI_BODY = rf"<([^>\\]*(?:(?:{_UCHAR})[^>\\]*)*)>"
+_IRI_TEXT = rf"[^>\\]*(?:(?:{_UCHAR})[^>\\]*)*"
+_IRI_BODY = rf"<({_IRI_TEXT})>"
 _BNODE = rf"_:({_BNODE_LABEL})"
 _LITERAL_BODY = rf'"([^"\\]*(?:(?:{_UCHAR}|\\[tbnrf"\'\\])[^"\\]*)*)"'
 _LANG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
@@ -83,10 +85,11 @@ _LINE_END = r"[ \t]*\.[ \t]*(?:#.*)?"
 # IRI predicate, any object, then the end. A label or a tag can only be
 # followed here by a space, a tab, '<' or '.', none of which could continue
 # it, so each group ends where the term scanner ends that term. An IRI group
-# is the IRI check's own grammar with \u and \U escapes between its
-# characters, so an IRI group without a backslash has passed that check;
-# one with escapes is checked again once they are decoded.
-_LINE_IRI = rf"<({_SCHEME}{_IRI_CHAR}*(?:(?:{_UCHAR}){_IRI_CHAR}*)*)>"
+# is any text up to the next '>', one negated character that ``re`` runs in
+# its fastest loop; it ends where the term scanner ends that IRI, and its
+# text is checked on the IRI table's miss path (see ``parse_ntriples``).
+# Its body is never empty, because an empty group reads as an absent term.
+_LINE_IRI = r"<([^>]+)>"
 # Unlike the term grammar's, its literal body takes no \n (a line has none).
 _LINE_LITERAL = rf'"([^"\\\n]*(?:(?:{_UCHAR}|\\[tbnrf"\'\\])[^"\\\n]*)*)"'
 _LINE = (
@@ -94,15 +97,21 @@ _LINE = (
     rf"[ \t]*(?:{_LINE_IRI}|{_BNODE}|{_LINE_LITERAL}(?:{_LANG}|\^\^{_LINE_IRI})?)"
     + _LINE_END
 )
-# The line grammar over a whole document, one match per line: a match runs
-# from the start of a line to its end, with a \r allowed before that end, and
-# no alternative takes a \n. A triple line fills the line grammar's eight
-# groups, a blank or comment line none, and any other line only the ninth,
-# which holds the line without its final \r.
-_DOC_RE = re.compile(rf"^(?:{_LINE}|[ \t]*(?:#.*)?|(.*?))\r?$", re.M)
+# The line grammar over a whole document, one match per line. The document
+# is scanned with a '>' put before every \n and at its end, so every line
+# ends in '>': an IRI group stops at that '>' at the latest and cannot run
+# past its line, and no other alternative takes a \n. A match runs from the
+# start of a line to that '>', with a \r allowed before it. A triple line
+# fills the line grammar's eight groups, a blank or comment line none, and
+# any other line only the ninth, which holds the line without its final \r.
+_DOC_RE = re.compile(rf"^(?:{_LINE}|[ \t]*(?:#.*)?|(.*?))\r?>$", re.M)
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _BLANK_LINE_RE = re.compile(r"[ \t]*(?:#|$)")
 _LINE_END_RE = re.compile(_LINE_END)
+_IRI_TEXT_RE = re.compile(_IRI_TEXT)
+# The term scanner's reasons.
+_NO_TERM = "expected an IRI, a blank node or a literal"
+_NO_END = "expected '.' and at most a comment after it"
 
 
 class Iri(str):
@@ -251,7 +260,7 @@ def scan_term(s: str, i: int, scope: str) -> tuple[Term, int]:
     """
     m = _TERM_RE.match(s, i)
     if m is None:
-        raise TermScanError("expected an IRI, a blank node or a literal", i)
+        raise TermScanError(_NO_TERM, i)
     iri, label, lexical, language, datatype = m.groups()
     if iri is not None:
         return Iri(_unescape(iri)), m.end()
@@ -270,7 +279,7 @@ def _parse_line(line: str, scope: str) -> Triple | None:
     predicate, i = scan_term(line, i, scope)
     obj, i = scan_term(line, i, scope)
     if not _LINE_END_RE.fullmatch(line, i):
-        raise TermScanError("expected '.' and at most a comment after it", i)
+        raise TermScanError(_NO_END, i)
     return Triple(subject, predicate, obj)
 
 
@@ -283,7 +292,8 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
 
     One scan of ``_DOC_RE`` reads every line of the document. IRIs come from
     the table in ``RUN_IRIS`` when a fetcher lends one, and from a table of
-    this document's own otherwise.
+    this document's own otherwise; an IRI group's text is checked only when
+    it is not in the table yet.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8", errors="replace")
@@ -291,45 +301,57 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
         text = data
     triples: list[Triple] = []
     errors: list[ParseError] = []
+    new = tuple.__new__
+    append = triples.append
     iris = RUN_IRIS.get()
     if iris is None:
-        iris = {}  # IRI body as written -> its Iri
+        iris = {}  # IRI group text -> its checked Iri
     known = iris.get
 
-    def iri(body: str) -> Iri:
-        if "\\" not in body:  # the line regex has checked it
-            got = iris[body] = str.__new__(Iri, body)
-        else:  # checked once decoded, and shared with the same IRI written plainly
+    def iri(body: str, bad_escape: str = _NO_TERM) -> Iri:
+        """The table's miss path: check an IRI group's text and enter its Iri."""
+        if "\\" not in body:
+            got = iris[body] = Iri(body)
+        elif _IRI_TEXT_RE.fullmatch(body):  # checked once decoded, and shared with the same IRI written plainly
             decoded = _unescape(body)
             got = iris[body] = iris[decoded] = known(decoded) or Iri(decoded)
+        else:  # an escape the term scanner does not read, so the scanner's reason at this term
+            raise ValueError(bad_escape)
         return got
 
     # No IRI, label, tag or datatype matches empty, so '' means absent. A
-    # final \n leaves one empty row after it, a blank one.
-    rows = _DOC_RE.findall(text)
+    # final \n leaves one blank row after it.
+    rows = _DOC_RE.findall(text.replace("\n", ">\n") + ">")
     for lineno, (s_iri, s_label, p, o_iri, o_label, lexical, language, datatype, other) in enumerate(rows, start=1):
         try:
-            if s_iri or s_label:
-                s = (known(s_iri) or iri(s_iri)) if s_iri else BlankNode(s_label, doc_scope)
-                p = known(p) or iri(p)
-                if o_iri:
-                    o = known(o_iri) or iri(o_iri)
-                elif o_label:
-                    o = BlankNode(o_label, doc_scope)
-                else:
-                    if datatype and "\\" in datatype:
-                        datatype = (known(datatype) or iri(datatype)).value
-                    # The line regex admits a tag or a datatype, never both.
-                    o = tuple.__new__(Literal, (_unescape(lexical), datatype or None, language or None))
-                # The line regex admits no literal subject and only an IRI predicate.
-                triples.append(tuple.__new__(Triple, (s, p, o)))
-            elif other:
-                # Neither a triple nor a blank line to the line grammar: the term
-                # scanner raises why, or reads a triple such as one whose IRI
-                # has an escaped scheme, whose IRIs then join the table.
-                t = _parse_line(other, doc_scope)
-                triples.append(tuple.__new__(Triple, [iris.setdefault(x, x) if type(x) is Iri else x for x in t]))
-        except ValueError as e:  # scan errors and decoded IRIs that fail their check
+            if s_iri:
+                s = known(s_iri) or iri(s_iri)
+            elif s_label:
+                s = BlankNode(s_label, doc_scope)
+            else:
+                if other:
+                    # Neither a triple nor a blank line to the line grammar. The
+                    # term scanner reads no triple the line grammar misses, so
+                    # it raises why this line is not one.
+                    _parse_line(other, doc_scope)
+                continue
+            p = known(p) or iri(p)
+            if o_iri:
+                o = known(o_iri) or iri(o_iri)
+            elif o_label:
+                o = BlankNode(o_label, doc_scope)
+            else:
+                if "\\" in lexical:
+                    lexical = _unescape(lexical)
+                if datatype:
+                    # The term scanner ends a literal before a datatype it
+                    # cannot read, and then finds no '.' after the literal.
+                    datatype = (known(datatype) or iri(datatype, _NO_END)).value
+                # The line regex admits a tag or a datatype, never both.
+                o = new(Literal, (lexical, datatype or None, language or None))
+            # The line regex admits no literal subject and only an IRI predicate.
+            append(new(Triple, (s, p, o)))
+        except ValueError as e:  # scan errors and IRIs that fail their check
             errors.append(ParseError(lineno, str(e)))
     return triples, errors
 

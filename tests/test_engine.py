@@ -775,6 +775,15 @@ def test_truncated_run_is_flagged(chain_web):
     assert run.metrics.http_lookups == 2
 
 
+@pytest.mark.parametrize("directive", ["FILE gone.nt", "DELAY 0 THEN FILE gone.nt"], ids=["inline", "pooled"])
+def test_a_transport_failure_does_not_flag_the_run_truncated(write_web, directive):
+    # a's document is missing, so its hop fails in transport; no limit fired.
+    manifest = write_web({NS + "s": nt((iri("s"), iri("p1"), iri("a"))), NS + "a": "!" + directive})
+    run = execute(q(CHAIN_Q), Setup.BASE, FixtureResolver(manifest), config=FetchConfig(max_parallel=2))
+    assert [(e.iri, e.status.value) for e in run.events] == [(S, "ok"), (I("a"), "transport-failure")]
+    assert run.metrics.truncated is False
+
+
 def test_deadline_bounds_wall_time(write_web):
     # One worker: s's hop is under way at the deadline, and t's has not started.
     manifest = write_web({NS + "s": "!DELAY 3000 THEN FILE slow.nt", NS + "t": "!DELAY 3000 THEN FILE slow.nt"})

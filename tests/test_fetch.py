@@ -199,14 +199,14 @@ def test_slow_response_is_classified_as_timeout(write_web):
     assert m.dereference(Iri(A)).status == DerefStatus.TIMED_OUT
 
 
-def test_transport_error_is_timeout():
+def test_transport_error_is_a_transport_failure():
     class R:
         is_local = True
 
         def resolve(self, iri, timeout_s):
             raise TransportError("connection refused")
 
-    assert manager(R()).dereference(Iri(A)).status == DerefStatus.TIMED_OUT
+    assert manager(R()).dereference(Iri(A)).status == DerefStatus.TRANSPORT_FAILURE
 
 
 def test_hop_cache_deduplicates_lookups(write_web):

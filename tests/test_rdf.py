@@ -99,6 +99,16 @@ def test_scan_term_error_carries_position():
 
 
 _S, _P = "<http://a.example/s>", "<http://a.example/p>"
+# Rejected lines and the term scanner's reason for each: an empty IRI fails
+# the IRI check; an escape the scanner cannot read ends its scan at that
+# term, and in a datatype it ends the literal before the datatype, where no
+# '.' follows.
+_REASONS = {
+    f"<> {_P} <http://a/o> .": "not an absolute IRI: ''",
+    f"{_S} {_P} <> .": "not an absolute IRI: ''",
+    f"<http://a/\\u00> {_P} <http://a/o> .": "expected an IRI, a blank node or a literal",
+    f'{_S} {_P} "x"^^<http://a/\\u00> .': "expected '.' and at most a comment after it",
+}
 
 
 @pytest.mark.parametrize(
@@ -129,6 +139,7 @@ _S, _P = "<http://a.example/s>", "<http://a.example/p>"
         (f"{_S} {_P} <http://a/`> .", False),
         (f'{_S} {_P} "x"^^<http://a/\\u007B> .', False),
         (f"<\\u0068ttp://a/s> {_P} <http://a/o> .", True),  # only the term scanner reads an escaped scheme
+        *((line, False) for line in _REASONS),
     ],
 )
 def test_accepted_dialect(line, accepted):
@@ -137,6 +148,15 @@ def test_accepted_dialect(line, accepted):
         assert (len(triples), errors) == (1, [])
     else:
         assert triples == [] and [e.line for e in errors] == [1] and errors[0].reason
+        if line in _REASONS:
+            assert errors[0].reason == _REASONS[line]
+
+
+def test_an_unterminated_iri_keeps_to_its_line():
+    """An IRI with no closing '>' does not take in the next line's triple."""
+    triples, errors = parse_ntriples(f"<http://a/s\n{_S} {_P} <http://a/o> .\n", doc_scope="d")
+    assert triples == [T(Iri(_S[1:-1]), Iri(_P[1:-1]), Iri("http://a/o"))]
+    assert errors == [ParseError(1, "expected an IRI, a blank node or a literal")]
 
 
 _TRIPLE_LINE = f"{_S} {_P} <http://a/o> .\n"
@@ -176,7 +196,7 @@ _TERMS = (
     '"x"', '"x"@en', '"x"@en-', '"x"@en-1a', '"x"@en-1a.', '"x"^^<http://a/d>', '"x"^^<http://a/d>.',
     '"x"^^<rel>', '"\\t\\u00E9"', '"x"@', '"x"^^', '"x',
     "<1a:b>", "<http://a/{x}>", "<http://a/`>", "<http://a/\\u007B>", '"x"^^<http://a/\\u007B>',
-    "<\\u0068ttp://a/s>",
+    "<\\u0068ttp://a/s>", "<>", "<http://a/\\u00>", '"x"^^<http://a/\\u00>',
 )
 _GAPS = ("", "", " ", "\t")
 _ENDS = (" .", ".", " . # c") * 4 + ("", " . x", "-", "_:b .", "#")
