@@ -254,8 +254,6 @@ class IncrementalEvaluator:
     def add(self, triples: Iterable[Triple]) -> EvalDelta:
         plan, k = self.plan, len(self.plan)
         dispatch, wild = self._dispatch, self._wild
-        if not wild:  # a triple whose predicate no pattern carries matches none
-            triples = [t for t in triples if t[1] in dispatch]
         new_matches: list[list[dict]] = [[] for _ in range(k)]
         matched: list[Triple] = []
         for t in triples:

@@ -24,7 +24,8 @@ overlaps the hops of one that can on a pool of ``max_parallel`` workers.
 Archive layout, per hop record, little-endian:
 u32 iri length, iri bytes, u32 final-iri length, final-iri bytes (the
 redirect target for 3xx hops, the iri itself otherwise), u16 status
-(0 marks a transport failure), u32 body length, body bytes.
+(0 marks a transport failure, 1 a request that ran past its timeout), u32
+body length, body bytes.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ class FakeClock:
 
 class TransportError(Exception):
     """Request never produced a response (timeout, refused, dead socket)."""
+
+
+class HopTimeout(TransportError):
+    """Request ran past its timeout before it produced a response."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,8 +278,8 @@ class RecordResolver:
     def resolve(self, iri: str, timeout_s: float) -> RawResponse:
         try:
             resp = self._inner.resolve(iri, timeout_s)
-        except TransportError:
-            self._write(iri, iri, 0, b"")
+        except TransportError as e:
+            self._write(iri, iri, 1 if isinstance(e, HopTimeout) else 0, b"")
             raise
         final = resp.location if resp.location and 300 <= resp.status < 400 else iri
         self._write(iri, final, resp.status, resp.body)
@@ -324,6 +329,8 @@ class ReplayResolver:
         final, status, body = hit
         if status == 0:
             raise TransportError(f"recorded transport failure for {iri}")
+        if status == 1:
+            raise HopTimeout(f"recorded timeout for {iri}")
         if 300 <= status < 400:
             return RawResponse(status, location=final)
         return RawResponse(status, body=body)
@@ -352,6 +359,8 @@ class LiveResolver:
                 timeout=timeout_s,
                 headers={"Accept": "application/n-triples, text/plain;q=0.5"},
             )
+        except self._requests.Timeout as e:
+            raise HopTimeout(str(e)) from e
         except self._requests.RequestException as e:
             raise TransportError(str(e)) from e
         return RawResponse(resp.status_code, body=resp.content, location=resp.headers.get("Location"))
@@ -532,12 +541,15 @@ class DereferenceManager:
         timeout_s = self._cfg.timeout_ms / 1000.0
         t0 = self._clock.now()
         try:
-            resp = self._resolver.resolve(iri, timeout_s)
+            outcome = self._resolver.resolve(iri, timeout_s)
+        except HopTimeout:
+            return _TIMEOUT
         except TransportError as e:
             log.debug("transport failure for %s: %s", iri, e)
-            return _TRANSPORT_FAILURE
+            outcome = _TRANSPORT_FAILURE
         if self._clock.now() - t0 > timeout_s:
             # Local resolvers do not enforce the timeout themselves; a
-            # fixture delay longer than the timeout still counts as one.
+            # fixture delay longer than the timeout still counts as one,
+            # whatever the hop then served or failed with.
             return _TIMEOUT
-        return resp
+        return outcome

@@ -27,8 +27,8 @@ Every document is read by one regex scan over its whole text, one match per
 line; a ``>`` put at the end of every line keeps each match on its line. A
 valid line matches the line grammar, whose IRI groups take any text up to
 the next ``>`` and check nothing. A blank or comment line matches as such.
-Any other line goes to the term scanner, which reports why it is not a
-triple.
+Any other line, and any line with an IRI that fails its check, goes to the
+term scanner, which reports why it is not a triple.
 
 The IRI check runs when an IRI group's text first enters the parser's IRI
 table, so it runs once per distinct IRI, not once per occurrence. Documents
@@ -74,8 +74,7 @@ _LITERAL_ESCAPES = str.maketrans(
 # plain* (escape plain*)*, so that a line with no closing quote or bracket
 # fails in linear time. \U stops at U+10FFFF.
 _UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}"
-_IRI_TEXT = rf"[^>\\]*(?:(?:{_UCHAR})[^>\\]*)*"
-_IRI_BODY = rf"<({_IRI_TEXT})>"
+_IRI_BODY = rf"<([^>\\]*(?:(?:{_UCHAR})[^>\\]*)*)>"
 _BNODE = rf"_:({_BNODE_LABEL})"
 _LITERAL_BODY = rf'"([^"\\]*(?:(?:{_UCHAR}|\\[tbnrf"\'\\])[^"\\]*)*)"'
 _LANG = r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)"
@@ -108,10 +107,6 @@ _DOC_RE = re.compile(rf"^(?:{_LINE}|[ \t]*(?:#.*)?|(.*?))\r?>$", re.M)
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 _BLANK_LINE_RE = re.compile(r"[ \t]*(?:#|$)")
 _LINE_END_RE = re.compile(_LINE_END)
-_IRI_TEXT_RE = re.compile(_IRI_TEXT)
-# The term scanner's reasons.
-_NO_TERM = "expected an IRI, a blank node or a literal"
-_NO_END = "expected '.' and at most a comment after it"
 
 
 class Iri(str):
@@ -260,7 +255,7 @@ def scan_term(s: str, i: int, scope: str) -> tuple[Term, int]:
     """
     m = _TERM_RE.match(s, i)
     if m is None:
-        raise TermScanError(_NO_TERM, i)
+        raise TermScanError("expected an IRI, a blank node or a literal", i)
     iri, label, lexical, language, datatype = m.groups()
     if iri is not None:
         return Iri(_unescape(iri)), m.end()
@@ -279,8 +274,22 @@ def _parse_line(line: str, scope: str) -> Triple | None:
     predicate, i = scan_term(line, i, scope)
     obj, i = scan_term(line, i, scope)
     if not _LINE_END_RE.fullmatch(line, i):
-        raise TermScanError(_NO_END, i)
+        raise TermScanError("expected '.' and at most a comment after it", i)
     return Triple(subject, predicate, obj)
+
+
+def _reason(line: str, scope: str) -> str:
+    """Why ``line`` holds no triple, in the term scanner's words.
+
+    ``parse_ntriples`` takes every reason from here. It sends only lines
+    the scanner must reject too: lines outside the line grammar, and lines
+    with an IRI that fails its check.
+    """
+    try:
+        _parse_line(line, scope)
+    except ValueError as e:
+        return str(e)
+    raise AssertionError(f"the term scanner reads a line the parser rejected: {line!r}")
 
 
 def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], list[ParseError]]:
@@ -308,20 +317,19 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
         iris = {}  # IRI group text -> its checked Iri
     known = iris.get
 
-    def iri(body: str, bad_escape: str = _NO_TERM) -> Iri:
+    def iri(body: str) -> Iri:
         """The table's miss path: check an IRI group's text and enter its Iri."""
         if "\\" not in body:
             got = iris[body] = Iri(body)
-        elif _IRI_TEXT_RE.fullmatch(body):  # checked once decoded, and shared with the same IRI written plainly
-            decoded = _unescape(body)
-            got = iris[body] = iris[decoded] = known(decoded) or Iri(decoded)
-        else:  # an escape the term scanner does not read, so the scanner's reason at this term
-            raise ValueError(bad_escape)
+        else:  # read as the term scanner reads it, and shared with the same IRI written plainly
+            decoded = scan_term(f"<{body}>", 0, doc_scope)[0]
+            got = iris[body] = iris[decoded] = known(decoded) or decoded
         return got
 
     # No IRI, label, tag or datatype matches empty, so '' means absent. A
     # final \n leaves one blank row after it.
     rows = _DOC_RE.findall(text.replace("\n", ">\n") + ">")
+    lines = None  # the document's lines, split at its first rejected triple row
     for lineno, (s_iri, s_label, p, o_iri, o_label, lexical, language, datatype, other) in enumerate(rows, start=1):
         try:
             if s_iri:
@@ -329,11 +337,8 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
             elif s_label:
                 s = BlankNode(s_label, doc_scope)
             else:
-                if other:
-                    # Neither a triple nor a blank line to the line grammar. The
-                    # term scanner reads no triple the line grammar misses, so
-                    # it raises why this line is not one.
-                    _parse_line(other, doc_scope)
+                if other:  # neither a triple nor a blank line to the line grammar
+                    errors.append(ParseError(lineno, _reason(other, doc_scope)))
                 continue
             p = known(p) or iri(p)
             if o_iri:
@@ -344,15 +349,16 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
                 if "\\" in lexical:
                     lexical = _unescape(lexical)
                 if datatype:
-                    # The term scanner ends a literal before a datatype it
-                    # cannot read, and then finds no '.' after the literal.
-                    datatype = (known(datatype) or iri(datatype, _NO_END)).value
+                    datatype = (known(datatype) or iri(datatype)).value
                 # The line regex admits a tag or a datatype, never both.
                 o = new(Literal, (lexical, datatype or None, language or None))
             # The line regex admits no literal subject and only an IRI predicate.
             append(new(Triple, (s, p, o)))
-        except ValueError as e:  # scan errors and IRIs that fail their check
-            errors.append(ParseError(lineno, str(e)))
+        except ValueError:  # an IRI that fails its check
+            if lines is None:
+                lines = text.split("\n")
+            line = lines[lineno - 1]
+            errors.append(ParseError(lineno, _reason(line[:-1] if line[-1:] == "\r" else line, doc_scope)))
     return triples, errors
 
 

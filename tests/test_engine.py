@@ -18,7 +18,7 @@ from linkquery.engine import (
     plan_order,
     unify_triple,
 )
-from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver, RawResponse
+from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver, HopTimeout, RawResponse
 from linkquery.fixturegen import WebSpec, generate_web, naive_join
 from linkquery.query import BgpQuery, TriplePattern, Variable, binding_text, parse_query
 from linkquery.rdf import Iri, Literal, Triple
@@ -782,6 +782,28 @@ def test_a_transport_failure_does_not_flag_the_run_truncated(write_web, directiv
     run = execute(q(CHAIN_Q), Setup.BASE, FixtureResolver(manifest), config=FetchConfig(max_parallel=2))
     assert [(e.iri, e.status.value) for e in run.events] == [(S, "ok"), (I("a"), "transport-failure")]
     assert run.metrics.truncated is False
+
+
+class TimingOut(FixtureResolver):
+    """The fixture web, except that a's hop raises what a live request raises on a timeout."""
+
+    def resolve(self, hop, timeout_s):
+        if hop == NS + "a":
+            raise HopTimeout("read timed out")
+        return super().resolve(hop, timeout_s)
+
+
+@pytest.mark.parametrize(
+    "resolver, directive",
+    [(TimingOut, "STATUS 200"), (FixtureResolver, "DELAY 300 THEN FILE gone.nt")],
+    ids=["live", "fixture-delay"],
+)
+def test_a_hop_that_times_out_and_fails_flags_the_run_truncated(write_web, resolver, directive):
+    # a's hop overruns timeout_ms and then fails in transport.
+    manifest = write_web({NS + "s": nt((iri("s"), iri("p1"), iri("a"))), NS + "a": "!" + directive})
+    run = execute(q(CHAIN_Q), Setup.BASE, resolver(manifest), config=FetchConfig(timeout_ms=100, max_parallel=2))
+    assert [(e.iri, e.status.value) for e in run.events] == [(S, "ok"), (I("a"), "timed-out")]
+    assert run.metrics.truncated is True
 
 
 def test_deadline_bounds_wall_time(write_web):

@@ -10,6 +10,7 @@ from linkquery.fetch import (
     FakeClock,
     FetchConfig,
     FixtureResolver,
+    HopTimeout,
     LiveResolver,
     RawResponse,
     RecordResolver,
@@ -209,6 +210,23 @@ def test_transport_error_is_a_transport_failure():
     assert manager(R()).dereference(Iri(A)).status == DerefStatus.TRANSPORT_FAILURE
 
 
+def test_a_hop_timeout_is_timed_out():
+    class R:
+        is_local = True
+
+        def resolve(self, iri, timeout_s):
+            raise HopTimeout("read timed out")
+
+    assert manager(R()).dereference(Iri(A)).status == DerefStatus.TIMED_OUT
+
+
+def test_a_transport_failure_after_an_overrun_is_timed_out(write_web):
+    clock = FakeClock()
+    manifest = write_web({A: "!DELAY 3000 THEN FILE gone.nt"})
+    m = manager(FixtureResolver(manifest, clock=clock), clock=clock, timeout_ms=1000)
+    assert m.dereference(Iri(A)).status == DerefStatus.TIMED_OUT
+
+
 def test_hop_cache_deduplicates_lookups(write_web):
     m = manager(FixtureResolver(write_web({A: NT, B: f"!REDIRECT {A}", C: f"!REDIRECT {A}"})))
     assert m.dereference(Iri(A)).status == DerefStatus.OK
@@ -360,6 +378,21 @@ def test_record_keeps_transport_failures(tmp_path):
     assert list(read_records(tape)) == [(A, A, 0, b"")]
     with pytest.raises(TransportError):
         ReplayResolver(tape).resolve(A, 1.0)
+
+
+def test_record_keeps_timeouts(tmp_path):
+    class R:
+        is_local = True
+
+        def resolve(self, iri, timeout_s):
+            raise HopTimeout("read timed out")
+
+    tape = tmp_path / "tape.bin"
+    with RecordResolver(R(), tape) as recorder:
+        with pytest.raises(HopTimeout):
+            recorder.resolve(A, 1.0)
+    assert list(read_records(tape)) == [(A, A, 1, b"")]
+    assert manager(ReplayResolver(tape)).dereference(Iri(A)).status == DerefStatus.TIMED_OUT
 
 
 def test_replay_miss_is_404(tmp_path, caplog):

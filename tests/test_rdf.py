@@ -102,12 +102,13 @@ _S, _P = "<http://a.example/s>", "<http://a.example/p>"
 # Rejected lines and the term scanner's reason for each: an empty IRI fails
 # the IRI check; an escape the scanner cannot read ends its scan at that
 # term, and in a datatype it ends the literal before the datatype, where no
-# '.' follows.
+# '.' follows. \' escapes a literal, never an IRI, though "'" may stand in one.
 _REASONS = {
     f"<> {_P} <http://a/o> .": "not an absolute IRI: ''",
     f"{_S} {_P} <> .": "not an absolute IRI: ''",
     f"<http://a/\\u00> {_P} <http://a/o> .": "expected an IRI, a blank node or a literal",
     f'{_S} {_P} "x"^^<http://a/\\u00> .': "expected '.' and at most a comment after it",
+    f"{_S} {_P} <http://a/\\'> .": "expected an IRI, a blank node or a literal",
 }
 
 
@@ -159,6 +160,21 @@ def test_an_unterminated_iri_keeps_to_its_line():
     assert errors == [ParseError(1, "expected an IRI, a blank node or a literal")]
 
 
+def test_each_rejected_line_is_reported_with_its_own_line_and_reason():
+    doc = (
+        f"{_S} {_P} <http://a/o> .\r\n# c\r\nbad\r\n<> {_P} <http://a/o> .\r\n"
+        f'{_S} {_P} "x"^^<http://a/\\u00> .\r\n{_S} {_P} <http://a/`> .\n{_S} {_P} "y" .'
+    )
+    triples, errors = parse_ntriples(doc, doc_scope="d")
+    assert len(triples) == 2
+    assert errors == [
+        ParseError(3, "expected an IRI, a blank node or a literal"),
+        ParseError(4, "not an absolute IRI: ''"),
+        ParseError(5, "expected '.' and at most a comment after it"),
+        ParseError(6, "not an absolute IRI: 'http://a/`'"),
+    ]
+
+
 _TRIPLE_LINE = f"{_S} {_P} <http://a/o> .\n"
 
 
@@ -196,7 +212,7 @@ _TERMS = (
     '"x"', '"x"@en', '"x"@en-', '"x"@en-1a', '"x"@en-1a.', '"x"^^<http://a/d>', '"x"^^<http://a/d>.',
     '"x"^^<rel>', '"\\t\\u00E9"', '"x"@', '"x"^^', '"x',
     "<1a:b>", "<http://a/{x}>", "<http://a/`>", "<http://a/\\u007B>", '"x"^^<http://a/\\u007B>',
-    "<\\u0068ttp://a/s>", "<>", "<http://a/\\u00>", '"x"^^<http://a/\\u00>',
+    "<\\u0068ttp://a/s>", "<>", "<http://a/\\u00>", '"x"^^<http://a/\\u00>', "<http://a/\\'>",
 )
 _GAPS = ("", "", " ", "\t")
 _ENDS = (" .", ".", " . # c") * 4 + ("", " . x", "-", "_:b .", "#")
