@@ -44,6 +44,12 @@ copies), whose fetch order is therefore fixed, it also compares the ordered
 sequence of its fetch events as (IRI, reason, status); the sorted fields
 above cannot see a change of fetch order.
 
+Each child then runs each web's suite a second time on the same resolver,
+so that every run of that pass may find its documents already parsed by an
+earlier run on the resolver.  The warm stage compares NEW_ROOT's second
+pass, field by field as above, with its own first pass and with OLD_ROOT's
+second pass.
+
 Each stage prints the first difference and exits 1; the script exits 0 when
 every parse and every run matched.
 """
@@ -244,7 +250,8 @@ def parse_all(workdir: Path, webs: list[dict], out) -> None:
             record(f"{folder.name}/{doc.name}", doc.read_bytes())
 
 
-def run_webs(webs: list[dict], out) -> None:
+def run_webs(webs: list[dict], *passes) -> None:
+    """Run each web's suite once per file in ``passes``, on one resolver per web."""
     from linkquery.bench import load_suite
     from linkquery.engine import execute
     from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver
@@ -254,24 +261,25 @@ def run_webs(webs: list[dict], out) -> None:
         resolver = FixtureResolver(web["manifest"])
         inline = not resolver.may_block  # served on the calling thread, in a fixed order
         redirects = web.get("redirects", {})
-        for entry in load_suite(web["suite"]):
-            for setup in web["setups"]:
-                run = execute(entry.query, setup, resolver, config=config)
-                m = run.metrics
-                targets = [redirects[e.iri.value] for e in run.events
-                           if e.iri.value in redirects and e.status != DerefStatus.SKIPPED]
-                out.write(json.dumps({
-                    "run": [web["name"], entry.query_id, setup],
-                    "answers": sorted(run.answer_keys()),
-                    "counts": [m.results, m.http_lookups, m.retrieved_triples, m.inferred_triples],
-                    "truncated": m.truncated,
-                    "retrieved": sorted(i.value for i in run.retrieved_iris()),
-                    "reasons": sorted([e.iri.value, e.reason] for e in run.events),
-                    "events": [[e.iri.value, e.reason, e.status.value] for e in run.events] if inline else None,
-                    "data": _digest(run.final.data),
-                    "inferred": _digest(run.final.inferred),
-                    "shared": len(targets) > len(set(targets)),
-                }) + "\n")
+        for out in passes:
+            for entry in load_suite(web["suite"]):
+                for setup in web["setups"]:
+                    run = execute(entry.query, setup, resolver, config=config)
+                    m = run.metrics
+                    targets = [redirects[e.iri.value] for e in run.events
+                               if e.iri.value in redirects and e.status != DerefStatus.SKIPPED]
+                    out.write(json.dumps({
+                        "run": [web["name"], entry.query_id, setup],
+                        "answers": sorted(run.answer_keys()),
+                        "counts": [m.results, m.http_lookups, m.retrieved_triples, m.inferred_triples],
+                        "truncated": m.truncated,
+                        "retrieved": sorted(i.value for i in run.retrieved_iris()),
+                        "reasons": sorted([e.iri.value, e.reason] for e in run.events),
+                        "events": [[e.iri.value, e.reason, e.status.value] for e in run.events] if inline else None,
+                        "data": _digest(run.final.data),
+                        "inferred": _digest(run.final.inferred),
+                        "shared": len(targets) > len(set(targets)),
+                    }) + "\n")
 
 
 def worker(argv: list[str]) -> int:
@@ -288,8 +296,9 @@ def worker(argv: list[str]) -> int:
         webs = json.loads((workdir / "webs.json").read_text(encoding="utf-8"))
         with open(workdir / f"parses-{mode}.jsonl", "w", encoding="utf-8") as out:
             parse_all(workdir, webs, out)
-        with open(workdir / f"runs-{mode}.jsonl", "w", encoding="utf-8") as out:
-            run_webs(webs, out)
+        with (open(workdir / f"runs-{mode}.jsonl", "w", encoding="utf-8") as out,
+              open(workdir / f"runs-{mode}-warm.jsonl", "w", encoding="utf-8") as warm):
+            run_webs(webs, out, warm)
     return 0
 
 
@@ -385,8 +394,12 @@ def main(argv: list[str] | None = None) -> int:
             webs += add_chain_webs(args.chain_seed, workdir)
             (workdir / "webs.json").write_text(json.dumps(webs), encoding="utf-8")
         wait_ok(in_root(roots[0], "old", str(workdir)), in_root(roots[1], "new", str(workdir)))
+        old, new, old_warm, new_warm = (workdir / f"runs-{name}.jsonl"
+                                        for name in ("old", "new", "old-warm", "new-warm"))
         failed = (compare(workdir / "parses-old.jsonl", workdir / "parses-new.jsonl", PARSE_FIELDS, "parses")
-                  or compare(workdir / "runs-old.jsonl", workdir / "runs-new.jsonl", FIELDS, "runs"))
+                  or compare(old, new, FIELDS, "runs")
+                  or compare(new, new_warm, FIELDS, "warm runs (against the first pass)")
+                  or compare(old_warm, new_warm, FIELDS, "warm runs (against OLD_ROOT's)"))
         with open(workdir / "runs-new.jsonl", encoding="utf-8") as fh:
             print(f"{sum(json.loads(line)['shared'] for line in fh)} runs had two roots redirected to one target")
         return failed

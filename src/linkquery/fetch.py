@@ -6,8 +6,13 @@ cross-cutting policy (lookup budget, wall-clock deadline, per-host
 politeness).  It decides everything on the thread that drives it, and looks
 each hop IRI up at most once per run; only ``request``, which performs one
 hop, may run on a pool worker.  ``timeout_ms`` bounds that request, never
-how long a root waits for a hop another root asked for first.  Resolvers
-come in four flavours:
+how long a root waits for a hop another root asked for first.
+
+Each resolver that can be weakly referenced has a least-recently-used cache
+of parsed documents, freed with it, keyed by a body's exact bytes and the
+scope of its blank nodes, and holding at most ``PARSED_BUDGET`` bytes of
+bodies.  A body served again, in this run or a later one on the resolver,
+is looked up again but not parsed again.  Resolvers come in four flavours:
 
 * ``FixtureResolver`` serves a manifest-described web from local files,
 * ``ReplayResolver`` serves a previously recorded archive,
@@ -35,6 +40,8 @@ import os
 import struct
 import threading
 import time
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -421,6 +428,46 @@ class DerefResult:
     detail: str = ""
 
 
+PARSED_BUDGET = 256 * 1024  # body bytes whose parses each resolver's cache keeps
+
+
+class _ParsedCache:
+    """One resolver's parsed documents, (body, scope) -> (triples, errors), least recently used first."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()  # runs on one resolver may run on several threads
+        self.docs: OrderedDict[tuple[bytes, str], tuple[tuple, tuple]] = OrderedDict()
+        self.size = 0  # body bytes in ``docs``
+
+    def get(self, key: tuple[bytes, str]) -> tuple[tuple, tuple] | None:
+        with self._lock:
+            got = self.docs.get(key)
+            if got is not None:
+                self.docs.move_to_end(key)
+            return got
+
+    def put(self, key: tuple[bytes, str], parsed: tuple[tuple, tuple]) -> None:
+        with self._lock:
+            if len(key[0]) <= PARSED_BUDGET and key not in self.docs:
+                self.docs[key] = parsed
+                self.size += len(key[0])
+            while self.size > PARSED_BUDGET:
+                self.size -= len(self.docs.popitem(last=False)[0][0])
+
+
+_caches: weakref.WeakKeyDictionary[object, _ParsedCache] = weakref.WeakKeyDictionary()
+_caches_lock = threading.Lock()
+
+
+def _cache_of(resolver: Resolver) -> _ParsedCache | None:
+    """The resolver's parsed-document cache, made on first use."""
+    with _caches_lock:
+        try:
+            return _caches.get(resolver) or _caches.setdefault(resolver, _ParsedCache())
+        except TypeError:  # not weakly referenceable, or not hashable
+            return None
+
+
 _TIMEOUT = object()  # hop outcome for an overrun of ``timeout_ms``
 _TRANSPORT_FAILURE = object()  # hop outcome for a ``TransportError``
 
@@ -436,6 +483,9 @@ class DereferenceManager:
     It also owns the run's IRI table, which it lends the parser for each
     document (``rdf.RUN_IRIS``), so that the run's documents share one
     ``Iri`` per IRI; the table goes with the manager, at the end of the run.
+    It parses a body only when the resolver's parsed-document cache (see
+    above) has no parse of the same bytes under the same scope; a hit's
+    ``Iri`` objects come from the table of the run that parsed it.
     """
 
     def __init__(self, resolver: Resolver, config: FetchConfig | None = None, clock: Clock | None = None) -> None:
@@ -448,6 +498,7 @@ class DereferenceManager:
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
         self._iris: dict[str, Iri] = {}  # the run's IRI table, lent to the parser
+        self._parsed = _cache_of(resolver)
 
     def dereference(self, root: Iri) -> DerefResult:
         """Chase ``root``, performing each hop with ``request`` on this thread."""
@@ -509,18 +560,25 @@ class DereferenceManager:
                 continue
             if not 200 <= resp.status < 300:
                 return done(DerefStatus.HTTP_ERROR, http_status=resp.status)
-            lent = RUN_IRIS.set(self._iris)
-            try:
-                triples, errors = parse_ntriples(resp.body, doc_scope=current)
-            finally:
-                RUN_IRIS.reset(lent)
+            key = (resp.body, current)
+            parsed = self._parsed.get(key) if self._parsed else None
+            if parsed is None:
+                lent = RUN_IRIS.set(self._iris)
+                try:
+                    found, bad = parse_ntriples(resp.body, doc_scope=current)
+                finally:
+                    RUN_IRIS.reset(lent)
+                parsed = (tuple(found), tuple(bad))
+                if self._parsed:
+                    self._parsed.put(key, parsed)
+            triples, errors = parsed
             if errors and not triples and resp.body.strip():
                 return done(
                     DerefStatus.PARSE_FAILURE,
                     http_status=resp.status,
                     detail=f"{len(errors)} parse errors, no triples",
                 )
-            doc = Document(iri=root.value, triples=tuple(triples))
+            doc = Document(iri=root.value, triples=triples)
             return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=here)
 
     def request(self, iri: str):

@@ -1,13 +1,14 @@
 import random
+import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkquery import engine
+from linkquery import engine, fetch
 from linkquery.engine import (
     Binding,
     EngineOptions,
@@ -928,6 +929,66 @@ def test_parallelism_does_not_change_countable_metrics(write_web):
         for r in runs
     }
     assert len(snap) == 1
+
+
+# -- runs that share a resolver, and its parsed-document cache ------------------
+
+
+@pytest.fixture(scope="module")
+def suite_web(tmp_path_factory):
+    return generate_web(WebSpec(seed=5), tmp_path_factory.mktemp("suite-web") / "w")
+
+
+def _suite_jobs(web):
+    return [(planned.query, setup) for planned in web.queries for setup in Setup]
+
+
+def _outcome(run):
+    """Everything a run reports but its timings."""
+    m = run.metrics
+    return (
+        run.answer_keys(),
+        (m.results, m.http_lookups, m.retrieved_triples, m.inferred_triples),
+        m.truncated,
+        [(e.iri, e.reason, e.status, e.triples) for e in run.events],
+        run.final,
+    )
+
+
+def test_warm_runs_on_one_resolver_equal_cold_runs(suite_web, monkeypatch):
+    jobs = _suite_jobs(suite_web)
+    cold = [_outcome(execute(query, setup, FixtureResolver(suite_web.manifest_path))) for query, setup in jobs]
+    shared = FixtureResolver(suite_web.manifest_path)
+    first = [_outcome(execute(query, setup, shared)) for query, setup in jobs]
+    monkeypatch.setattr(fetch, "parse_ntriples", None)  # the whole web fits in the cache: nothing is parsed again
+    warm = [_outcome(execute(query, setup, shared)) for query, setup in jobs]
+    assert first == cold
+    assert warm == cold
+
+
+def test_runs_on_one_resolver_in_threads_at_once_equal_serial_runs(suite_web):
+    jobs = _suite_jobs(suite_web)
+    serial = [_outcome(execute(query, setup, FixtureResolver(suite_web.manifest_path))) for query, setup in jobs]
+    shared = FixtureResolver(suite_web.manifest_path)
+    forwards = list(range(len(jobs)))
+    orders = [forwards, forwards[::-1], random.Random(5).sample(forwards, len(jobs))]
+    start = threading.Barrier(len(orders))
+
+    def run_all(order):
+        start.wait()
+        return {k: _outcome(execute(*jobs[k], shared)) for k in order}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            outcomes = [run.result(timeout=120) for run in [pool.submit(run_all, order) for order in orders]]
+    finally:
+        sys.setswitchinterval(switch)
+    for got in outcomes:
+        assert [got[k] for k in range(len(jobs))] == serial
+    cache = fetch._caches[shared]
+    assert cache.size == sum(len(body) for body, _ in cache.docs) <= fetch.PARSED_BUDGET
 
 
 # -- order independence under shuffled fetch completion ---------------------

@@ -1,7 +1,13 @@
+import gc
 import io
 import random
+import sys
+import threading
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkquery import fetch
 from linkquery.fetch import (
@@ -20,7 +26,7 @@ from linkquery.fetch import (
     parse_resolver_spec,
     read_records,
 )
-from linkquery.rdf import RUN_IRIS, Iri
+from linkquery.rdf import RUN_IRIS, Iri, parse_ntriples
 
 A = "http://w.example/a"
 B = "http://w.example/b"
@@ -283,6 +289,193 @@ def test_the_run_table_is_lent_only_for_the_parse(write_web, monkeypatch):
     with pytest.raises(RuntimeError, match="parser crashed"):
         manager(FixtureResolver(web)).dereference(Iri(A))
     assert RUN_IRIS.get() is None
+
+
+# -- the parsed-document cache --------------------------------------------------
+
+
+class Served:
+    """A resolver that never blocks and serves whatever ``bodies`` holds for an IRI now."""
+
+    is_local = True
+    may_block = False
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+
+    def resolve(self, iri, timeout_s):
+        return RawResponse(200, body=self.bodies[iri])
+
+
+def counted_parses(monkeypatch):
+    """The scopes of the real parses from here on, in order."""
+    scopes = []
+    parse = fetch.parse_ntriples
+
+    def counting(data, doc_scope):
+        scopes.append(doc_scope)
+        return parse(data, doc_scope)
+
+    monkeypatch.setattr(fetch, "parse_ntriples", counting)
+    return scopes
+
+
+def test_a_body_served_again_on_one_resolver_is_parsed_once(write_web, monkeypatch):
+    web = write_web({A: NT})
+    parses = counted_parses(monkeypatch)
+    resolver = FixtureResolver(web)
+    runs = [manager(resolver) for _ in range(2)]
+    first, again = (m.dereference(Iri(A)) for m in runs)
+    assert parses == [A]
+    assert again.document.triples is first.document.triples  # the cached tuple, not a copy
+    assert [m.lookups_used for m in runs] == [1, 1]  # the warm run still looks the body up
+    assert manager(FixtureResolver(web)).dereference(Iri(A)).document.triples == first.document.triples
+    assert parses == [A, A]  # another resolver has a cache of its own
+
+
+def test_a_body_rewritten_between_runs_is_parsed_again(write_web, monkeypatch):
+    web = write_web({A: NT})
+    parses = counted_parses(monkeypatch)
+    resolver = FixtureResolver(web)
+    assert manager(resolver).dereference(Iri(A)).document.triples[0].object == "http://w.example/o"
+    (web.parent / "doc000.nt").write_text(NT.replace("/o>", "/o2>"), encoding="utf-8")
+    again = manager(resolver).dereference(Iri(A))
+    assert parses == [A, A]
+    assert [t.object for t in again.document.triples] == ["http://w.example/o2"]
+
+
+def test_one_body_under_two_scopes_gets_blank_nodes_of_each(write_web):
+    body = "_:b <http://w.example/p> _:c .\n"
+    resolver = FixtureResolver(write_web({A: body, B: body}))
+    for _ in range(2):  # cold, then warm
+        m = manager(resolver)
+        a, b = (m.dereference(Iri(x)).document.triples[0] for x in (A, B))
+        assert a.subject.label == b.subject.label == "b"
+        assert (a.subject.scope, a.object.scope, b.subject.scope, b.object.scope) == (A, A, B, B)
+        assert a != b
+    assert [scope for _, scope in fetch._caches[resolver].docs] == [A, B]
+
+
+def test_a_body_of_errors_only_fails_to_parse_on_a_warm_run_too(write_web, monkeypatch):
+    resolver = FixtureResolver(write_web({A: "complete junk\n"}))
+    parses = counted_parses(monkeypatch)
+    cold, warm = (manager(resolver).dereference(Iri(A)) for _ in range(2))
+    assert parses == [A]
+    assert cold.status == warm.status == DerefStatus.PARSE_FAILURE
+    assert cold.detail == warm.detail == "1 parse errors, no triples"
+
+
+def test_an_oversized_body_is_not_kept(monkeypatch):
+    line = NT.encode()
+    fits = line * (fetch.PARSED_BUDGET // len(line))
+    exact = fits + b"#" * (fetch.PARSED_BUDGET - len(fits))  # the budget to the byte, a comment last
+    resolver = Served({A: line, B: fits + line, C: exact})
+    parses = counted_parses(monkeypatch)
+    cache = fetch._cache_of(resolver)
+    for x in (A, B, B, A):
+        assert manager(resolver).dereference(Iri(x)).status == DerefStatus.OK
+    assert parses == [A, B, B]  # B is parsed each time, and pushes nothing out
+    assert [scope for _, scope in cache.docs] == [A]
+    for x in (C, C):
+        assert manager(resolver).dereference(Iri(x)).status == DerefStatus.OK
+    assert parses == [A, B, B, C]
+    assert [scope for _, scope in cache.docs] == [C]
+    assert cache.size == fetch.PARSED_BUDGET
+
+
+def test_the_cache_evicts_the_least_recently_used_body(monkeypatch):
+    bodies = {x: f"<{x}> <http://w.example/p> <http://w.example/o> .\n".encode() for x in (A, B, C)}
+    monkeypatch.setattr(fetch, "PARSED_BUDGET", len(bodies[A]) + len(bodies[B]))  # room for two of three
+    resolver = Served(bodies)
+    parses = counted_parses(monkeypatch)
+    for x in (A, B, A, C, A, B):  # C evicts B, the least recently used; B then evicts C
+        manager(resolver).dereference(Iri(x))
+    assert parses == [A, B, C, B]
+    cache = fetch._caches[resolver]
+    assert [scope for _, scope in cache.docs] == [A, B]
+    assert cache.size == sum(len(body) for body, _ in cache.docs) <= fetch.PARSED_BUDGET
+
+
+def test_the_cache_keeps_its_byte_count_under_threads(monkeypatch):
+    monkeypatch.setattr(fetch, "PARSED_BUDGET", 300)
+    cache = fetch._ParsedCache()
+    keys = [(bytes(n), scope) for n in range(1, 60) for scope in (A, B)]
+
+    def hammer(seed):
+        rng = random.Random(seed)
+        for _ in range(3000):
+            key = rng.choice(keys)
+            if cache.get(key) is None:
+                cache.put(key, ((), ()))
+
+    threads = [threading.Thread(target=hammer, args=(k,)) for k in range(6)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert cache.size == sum(len(body) for body, _ in cache.docs) <= fetch.PARSED_BUDGET
+
+
+def test_a_resolver_that_cannot_be_weakly_referenced_gets_no_cache(monkeypatch):
+    class Slotted:
+        __slots__ = ()
+        is_local = True
+
+        def resolve(self, iri, timeout_s):
+            return RawResponse(200, body=NT.encode())
+
+    parses = counted_parses(monkeypatch)
+    resolver = Slotted()
+    for _ in range(2):
+        assert len(manager(resolver).dereference(Iri(A)).document.triples) == 1
+    assert parses == [A, A]
+
+
+def test_a_cache_goes_with_its_resolver(write_web):
+    resolver = FixtureResolver(write_web({A: NT}))
+    manager(resolver).dereference(Iri(A))
+    cache = weakref.ref(fetch._caches[resolver])
+    del resolver
+    gc.collect()
+    assert cache() is None
+
+
+CACHED_BODIES = (
+    NT,
+    NT + "junk line\n_:b <http://w.example/q> _:c .\n",
+    '_:b <http://w.example/p> "x"@en .\r\n_:b <http://w.example/p> _:b .',
+    "complete junk\n",
+    "",
+    "# a comment\n\n",
+)
+
+
+@settings(max_examples=60)
+@given(
+    budget=st.integers(0, 250),
+    lookups=st.lists(st.tuples(st.sampled_from(CACHED_BODIES), st.sampled_from((A, B, C))), max_size=25),
+)
+def test_every_cache_hit_equals_a_fresh_parse(budget, lookups):
+    resolver = Served({})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fetch, "PARSED_BUDGET", budget)
+        for body, scope in lookups:
+            resolver.bodies[scope] = body.encode()
+            got = manager(resolver).dereference(Iri(scope))
+            triples, errors = parse_ntriples(body, doc_scope=scope)
+            if errors and not triples and body.strip():
+                assert got.status == DerefStatus.PARSE_FAILURE
+                assert got.detail == f"{len(errors)} parse errors, no triples"
+            else:
+                assert got.status == DerefStatus.OK and got.document.triples == tuple(triples)
+            cache = fetch._caches[resolver]
+            assert cache.size == sum(len(b) for b, _ in cache.docs) <= budget
 
 
 def test_politeness_spaces_requests_per_host():
