@@ -22,7 +22,7 @@ from statistics import mean, pstdev
 from typing import Iterable, Sequence, TextIO
 
 from .engine import ALL_SETUPS, EngineOptions, QueryRun, Setup, execute
-from .fetch import FetchConfig, Resolver
+from .fetch import FetchConfig, Resolver, forget_parses
 from .query import BgpQuery, parse_query
 
 log = logging.getLogger(__name__)
@@ -101,6 +101,7 @@ def run_suite(
     records: list[RunRecord] = []
     for entry in entries:
         for setup in setups:
+            forget_parses(resolver)  # each run parses what it retrieves, so no setup's Time gains from another's
             run = execute(entry.query, setup, resolver, config=config, options=options)
             records.append(RunRecord.from_run(entry, run))
             log.debug(

@@ -6,13 +6,12 @@ cross-cutting policy (lookup budget, wall-clock deadline, per-host
 politeness).  It decides everything on the thread that drives it, and looks
 each hop IRI up at most once per run; only ``request``, which performs one
 hop, may run on a pool worker.  ``timeout_ms`` bounds that request, never
-how long a root waits for a hop another root asked for first.
-
-Each resolver that can be weakly referenced has a least-recently-used cache
-of parsed documents, freed with it, keyed by a body's exact bytes and the
-scope of its blank nodes, and holding at most ``PARSED_BUDGET`` bytes of
-bodies.  A body served again, in this run or a later one on the resolver,
-is looked up again but not parsed again.  Resolvers come in four flavours:
+how long a root waits for a hop another root asked for first.  Each resolver
+that can be weakly referenced keeps a least-recently-used cache of parses,
+keyed by a body's exact bytes and blank-node scope and holding at most
+``PARSED_BUDGET`` bytes of bodies: a body served again, in any run on the
+resolver, is looked up again but not parsed again (``forget_parses``
+empties the cache).  Resolvers come in four flavours:
 
 * ``FixtureResolver`` serves a manifest-described web from local files,
 * ``ReplayResolver`` serves a previously recorded archive,
@@ -42,13 +41,16 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
+from contextlib import suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Generator, Iterator, Protocol
 from urllib.parse import urljoin, urlsplit
 
-from .rdf import RUN_IRIS, Document, Iri, parse_ntriples
+from . import rdf
+from .rdf import RUN_IRIS, Document, Iri
 
 log = logging.getLogger(__name__)
 
@@ -456,16 +458,26 @@ class _ParsedCache:
 
 
 _caches: weakref.WeakKeyDictionary[object, _ParsedCache] = weakref.WeakKeyDictionary()
-_caches_lock = threading.Lock()
+# The cache ``chase`` lends ``parse_ntriples``: not a parameter, for the reason ``rdf.RUN_IRIS`` gives.
+_LENT: ContextVar[_ParsedCache | None] = ContextVar("_LENT", default=None)
 
 
-def _cache_of(resolver: Resolver) -> _ParsedCache | None:
-    """The resolver's parsed-document cache, made on first use."""
-    with _caches_lock:
-        try:
-            return _caches.get(resolver) or _caches.setdefault(resolver, _ParsedCache())
-        except TypeError:  # not weakly referenceable, or not hashable
-            return None
+def parse_ntriples(data: bytes, doc_scope: str) -> tuple[tuple, tuple]:
+    """``rdf.parse_ntriples`` as tuples, taken from the lent cache when it holds them."""
+    cache, key = _LENT.get(), (data, doc_scope)
+    parsed = cache.get(key) if cache else None
+    if parsed is None:
+        found, bad = rdf.parse_ntriples(data, doc_scope)
+        parsed = (tuple(found), tuple(bad))
+        if cache:
+            cache.put(key, parsed)
+    return parsed
+
+
+def forget_parses(resolver: Resolver) -> None:
+    """Empty the resolver's parsed-document cache: its next run parses every body it retrieves."""
+    with suppress(KeyError, TypeError):
+        del _caches[resolver]
 
 
 _TIMEOUT = object()  # hop outcome for an overrun of ``timeout_ms``
@@ -481,11 +493,10 @@ class DereferenceManager:
     that may run on a pool worker.  Each hop IRI is looked up at most once
     per run, so redirecting roots that share a target pay for it once.
     It also owns the run's IRI table, which it lends the parser for each
-    document (``rdf.RUN_IRIS``), so that the run's documents share one
+    document (``rdf.RUN_IRIS``), so that the documents it parses share one
     ``Iri`` per IRI; the table goes with the manager, at the end of the run.
-    It parses a body only when the resolver's parsed-document cache (see
-    above) has no parse of the same bytes under the same scope; a hit's
-    ``Iri`` objects come from the table of the run that parsed it.
+    It lends the resolver's cache of parses too (``_LENT``): a hit carries
+    the equal ``Iri`` objects of the run that parsed it.
     """
 
     def __init__(self, resolver: Resolver, config: FetchConfig | None = None, clock: Clock | None = None) -> None:
@@ -498,7 +509,10 @@ class DereferenceManager:
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
         self._iris: dict[str, Iri] = {}  # the run's IRI table, lent to the parser
-        self._parsed = _cache_of(resolver)
+        try:  # the resolver's parsed-document cache, made on first use
+            self._parsed: _ParsedCache | None = _caches.setdefault(resolver, _ParsedCache())
+        except TypeError:  # not weakly referenceable, or not hashable
+            self._parsed = None
 
     def dereference(self, root: Iri) -> DerefResult:
         """Chase ``root``, performing each hop with ``request`` on this thread."""
@@ -560,25 +574,19 @@ class DereferenceManager:
                 continue
             if not 200 <= resp.status < 300:
                 return done(DerefStatus.HTTP_ERROR, http_status=resp.status)
-            key = (resp.body, current)
-            parsed = self._parsed.get(key) if self._parsed else None
-            if parsed is None:
-                lent = RUN_IRIS.set(self._iris)
-                try:
-                    found, bad = parse_ntriples(resp.body, doc_scope=current)
-                finally:
-                    RUN_IRIS.reset(lent)
-                parsed = (tuple(found), tuple(bad))
-                if self._parsed:
-                    self._parsed.put(key, parsed)
-            triples, errors = parsed
+            lent = RUN_IRIS.set(self._iris), _LENT.set(self._parsed)
+            try:
+                triples, errors = parse_ntriples(resp.body, doc_scope=current)
+            finally:
+                RUN_IRIS.reset(lent[0])
+                _LENT.reset(lent[1])
             if errors and not triples and resp.body.strip():
                 return done(
                     DerefStatus.PARSE_FAILURE,
                     http_status=resp.status,
                     detail=f"{len(errors)} parse errors, no triples",
                 )
-            doc = Document(iri=root.value, triples=triples)
+            doc = Document(iri=root.value, triples=tuple(triples))
             return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=here)
 
     def request(self, iri: str):

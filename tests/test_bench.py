@@ -19,8 +19,10 @@ from linkquery.bench import (
     run_suite,
     write_per_query_csv,
 )
-from linkquery.engine import Setup
+from linkquery import rdf
+from linkquery.engine import Setup, execute
 from linkquery.fetch import FixtureResolver
+from linkquery.query import parse_query
 
 
 def rec(qid="q1", cls="entity-s", setup=Setup.BASE, results=0, time_s=0.0, first_s=None, http=0, retrieved=0, inferred=0):
@@ -242,3 +244,22 @@ def test_run_suite_accepts_shared_resolver(tmp_path, write_web):
     shared = FixtureResolver(manifest)
     records = run_suite(entries, shared, [Setup.BASE])
     assert records[0].results == 1
+
+
+def test_run_suite_starts_every_run_cold(write_web, monkeypatch):
+    # No run of a suite finds documents parsed by the run before it, so no setup's Time gains from another's.
+    ns = "http://t.example/"
+    manifest = write_web({ns + "s": f"<{ns}s> <{ns}p> <{ns}o> .\n"})
+    entries = [SuiteEntry("q01", "entity-s", parse_query(f"SELECT ?o WHERE {{ <{ns}s> <{ns}p> ?o . }}"))]
+    scopes, parse = [], rdf.parse_ntriples
+
+    def counting(data, doc_scope):
+        scopes.append(doc_scope)
+        return parse(data, doc_scope)
+
+    monkeypatch.setattr(rdf, "parse_ntriples", counting)
+    resolver = FixtureResolver(manifest)
+    run_suite(entries, resolver, [Setup.BASE, Setup.SELECT, Setup.BASE])
+    assert scopes == [ns + "s"] * 3
+    execute(entries[0].query, Setup.BASE, resolver)  # outside a suite, the resolver's cache holds
+    assert scopes == [ns + "s"] * 3

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkquery import engine, fetch
+from linkquery import engine, fetch, rdf
 from linkquery.engine import (
     Binding,
     EngineOptions,
@@ -960,7 +960,7 @@ def test_warm_runs_on_one_resolver_equal_cold_runs(suite_web, monkeypatch):
     cold = [_outcome(execute(query, setup, FixtureResolver(suite_web.manifest_path))) for query, setup in jobs]
     shared = FixtureResolver(suite_web.manifest_path)
     first = [_outcome(execute(query, setup, shared)) for query, setup in jobs]
-    monkeypatch.setattr(fetch, "parse_ntriples", None)  # the whole web fits in the cache: nothing is parsed again
+    monkeypatch.setattr(rdf, "parse_ntriples", None)  # the whole web fits in the cache: nothing is parsed again
     warm = [_outcome(execute(query, setup, shared)) for query, setup in jobs]
     assert first == cold
     assert warm == cold

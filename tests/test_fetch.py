@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkquery import fetch
+from linkquery import fetch, rdf
 from linkquery.fetch import (
     DereferenceManager,
     DerefStatus,
@@ -307,16 +307,16 @@ class Served:
         return RawResponse(200, body=self.bodies[iri])
 
 
-def counted_parses(monkeypatch):
-    """The scopes of the real parses from here on, in order."""
+def counted_parses(monkeypatch, module=rdf):
+    """The scopes of the calls to ``module.parse_ntriples`` from here on, in order: by default the real parses."""
     scopes = []
-    parse = fetch.parse_ntriples
+    parse = module.parse_ntriples
 
     def counting(data, doc_scope):
         scopes.append(doc_scope)
         return parse(data, doc_scope)
 
-    monkeypatch.setattr(fetch, "parse_ntriples", counting)
+    monkeypatch.setattr(module, "parse_ntriples", counting)
     return scopes
 
 
@@ -331,6 +331,19 @@ def test_a_body_served_again_on_one_resolver_is_parsed_once(write_web, monkeypat
     assert [m.lookups_used for m in runs] == [1, 1]  # the warm run still looks the body up
     assert manager(FixtureResolver(web)).dereference(Iri(A)).document.triples == first.document.triples
     assert parses == [A, A]  # another resolver has a cache of its own
+
+
+def test_a_wrapper_of_fetch_parse_sees_hits_too(write_web, monkeypatch):
+    # A tool that wraps fetch.parse_ntriples, as the benchmark's tracer does, sees every document parsed.
+    resolver = FixtureResolver(write_web({A: NT, B: NT}))
+    parses, calls = counted_parses(monkeypatch), counted_parses(monkeypatch, fetch)
+    for _ in range(2):
+        m = manager(resolver)
+        assert [len(m.dereference(Iri(x)).document.triples) for x in (A, B)] == [1, 1]
+    assert (parses, calls) == ([A, B], [A, B, A, B])
+    fetch.forget_parses(resolver)
+    manager(resolver).dereference(Iri(A))
+    assert parses == [A, B, A]  # an emptied cache parses again
 
 
 def test_a_body_rewritten_between_runs_is_parsed_again(write_web, monkeypatch):
@@ -371,9 +384,9 @@ def test_an_oversized_body_is_not_kept(monkeypatch):
     exact = fits + b"#" * (fetch.PARSED_BUDGET - len(fits))  # the budget to the byte, a comment last
     resolver = Served({A: line, B: fits + line, C: exact})
     parses = counted_parses(monkeypatch)
-    cache = fetch._cache_of(resolver)
     for x in (A, B, B, A):
         assert manager(resolver).dereference(Iri(x)).status == DerefStatus.OK
+    cache = fetch._caches[resolver]
     assert parses == [A, B, B]  # B is parsed each time, and pushes nothing out
     assert [scope for _, scope in cache.docs] == [A]
     for x in (C, C):
@@ -435,6 +448,7 @@ def test_a_resolver_that_cannot_be_weakly_referenced_gets_no_cache(monkeypatch):
     for _ in range(2):
         assert len(manager(resolver).dereference(Iri(A)).document.triples) == 1
     assert parses == [A, A]
+    fetch.forget_parses(resolver)  # there is nothing to forget
 
 
 def test_a_cache_goes_with_its_resolver(write_web):
