@@ -35,8 +35,9 @@ With ``--parse`` it times only the two trees' ``parse_ntriples``, on the
 web's ``.nt`` documents in three variants: as written, with one comment line
 put first, and with one bad line put last.  A pass parses every document of
 a variant on both trees, in an order drawn per pass, in groups of
-``PARSE_GROUP`` documents that share one lent IRI table (``rdf.RUN_IRIS``),
-as the documents of a run do.  It prints, per variant, each tree's median
+``PARSE_GROUP`` documents that share one IRI table, as the documents of a
+run do: passed as ``parse_ntriples``'s third argument, or lent through
+``rdf.RUN_IRIS`` to a tree whose parser takes no such argument.  It prints, per variant, each tree's median
 CPU milliseconds per pass and the median over the passes of the ratio
 NEW/OLD, and exits 1 when the two trees' triples, or the line numbers or
 reasons of their errors, differ on some document.
@@ -58,7 +59,7 @@ from time import perf_counter, process_time
 HERE = Path(__file__).resolve()
 WORKLOADS = ("long-chain", "sameas-chain")
 WARMUP_JOBS = 5
-PARSE_GROUP = 35  # documents per lent IRI table under --parse
+PARSE_GROUP = 35  # documents per IRI table under --parse
 PARSE_VARIANTS = {
     "as written": lambda doc: doc,
     "one comment line": lambda doc: b"# a comment\n" + doc,
@@ -114,15 +115,19 @@ class Tree:
 
 
 def parse_pass(rdf, docs: list[bytes]) -> tuple[float, list]:
-    """Parse ``docs`` in groups that share a lent IRI table: the CPU seconds, and each parse."""
+    """Parse ``docs`` in groups that share an IRI table: the CPU seconds, and each parse."""
     parsed = []
     t0 = process_time()
     for start in range(0, len(docs), PARSE_GROUP):
-        lent = rdf.RUN_IRIS.set({})
-        try:
-            parsed += [rdf.parse_ntriples(doc, "d") for doc in docs[start:start + PARSE_GROUP]]
-        finally:
-            rdf.RUN_IRIS.reset(lent)
+        group, table = docs[start:start + PARSE_GROUP], {}
+        if hasattr(rdf, "RUN_IRIS"):  # a tree whose parser takes its table from a context variable
+            lent = rdf.RUN_IRIS.set(table)
+            try:
+                parsed += [rdf.parse_ntriples(doc, "d") for doc in group]
+            finally:
+                rdf.RUN_IRIS.reset(lent)
+        else:
+            parsed += [rdf.parse_ntriples(doc, "d", table) for doc in group]
     return process_time() - t0, parsed
 
 

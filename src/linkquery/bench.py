@@ -101,7 +101,7 @@ def run_suite(
     records: list[RunRecord] = []
     for entry in entries:
         for setup in setups:
-            forget_parses(resolver)  # each run parses what it retrieves, so no setup's Time gains from another's
+            forget_parses()  # each run parses what it retrieves, so no setup's Time gains from another's
             run = execute(entry.query, setup, resolver, config=config, options=options)
             records.append(RunRecord.from_run(entry, run))
             log.debug(

@@ -6,12 +6,17 @@ cross-cutting policy (lookup budget, wall-clock deadline, per-host
 politeness).  It decides everything on the thread that drives it, and looks
 each hop IRI up at most once per run; only ``request``, which performs one
 hop, may run on a pool worker.  ``timeout_ms`` bounds that request, never
-how long a root waits for a hop another root asked for first.  Each resolver
-that can be weakly referenced keeps a least-recently-used cache of parses,
-keyed by a body's exact bytes and blank-node scope and holding at most
-``PARSED_BUDGET`` bytes of bodies: a body served again, in any run on the
-resolver, is looked up again but not parsed again (``forget_parses``
-empties the cache).  Resolvers come in four flavours:
+how long a root waits for a hop another root asked for first.
+
+``parse_ntriples`` owns the parse state of the process.  Its one
+least-recently-used cache of parses is keyed by a body's exact bytes and
+blank-node scope and holds at most ``PARSED_BUDGET`` bytes of bodies: a body
+served again, in any run on any resolver, is looked up again but not parsed
+again.  Its one IRI table, which it hands the parser, gives the documents it
+parses one ``Iri`` per IRI; the table is emptied once it holds more than
+``PARSED_BUDGET // 64`` IRIs.  ``forget_parses`` empties both.
+
+Resolvers come in four flavours:
 
 * ``FixtureResolver`` serves a manifest-described web from local files,
 * ``ReplayResolver`` serves a previously recorded archive,
@@ -39,10 +44,7 @@ import os
 import struct
 import threading
 import time
-import weakref
 from collections import OrderedDict
-from contextlib import suppress
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -50,7 +52,7 @@ from typing import BinaryIO, Generator, Iterator, Protocol
 from urllib.parse import urljoin, urlsplit
 
 from . import rdf
-from .rdf import RUN_IRIS, Document, Iri
+from .rdf import Document, Iri
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +165,9 @@ def _parse_directive(text: str, base_dir: str, lineno: int) -> _Action:
         try:
             ms = int(sub[0])
         except ValueError:
-            raise ValueError(f"manifest line {lineno}: bad DELAY duration {sub[0]!r}") from None
+            ms = -1
+        if ms < 0:
+            raise ValueError(f"manifest line {lineno}: bad DELAY duration {sub[0]!r}")
         inner = _parse_directive(sub[2], base_dir, lineno)
         if inner[0] == "delay":
             raise ValueError(f"manifest line {lineno}: nested DELAY")
@@ -430,14 +434,14 @@ class DerefResult:
     detail: str = ""
 
 
-PARSED_BUDGET = 256 * 1024  # body bytes whose parses each resolver's cache keeps
+PARSED_BUDGET = 256 * 1024  # body bytes whose parses the process's cache keeps
 
 
 class _ParsedCache:
-    """One resolver's parsed documents, (body, scope) -> (triples, errors), least recently used first."""
+    """Parsed documents, (body, scope) -> (triples, errors), least recently used first."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()  # runs on one resolver may run on several threads
+        self._lock = threading.Lock()  # runs may run on several threads
         self.docs: OrderedDict[tuple[bytes, str], tuple[tuple, tuple]] = OrderedDict()
         self.size = 0  # body bytes in ``docs``
 
@@ -456,28 +460,36 @@ class _ParsedCache:
             while self.size > PARSED_BUDGET:
                 self.size -= len(self.docs.popitem(last=False)[0][0])
 
+    def clear(self) -> None:
+        with self._lock:
+            self.docs.clear()
+            self.size = 0
 
-_caches: weakref.WeakKeyDictionary[object, _ParsedCache] = weakref.WeakKeyDictionary()
-# The cache ``chase`` lends ``parse_ntriples``: not a parameter, for the reason ``rdf.RUN_IRIS`` gives.
-_LENT: ContextVar[_ParsedCache | None] = ContextVar("_LENT", default=None)
+
+_PARSED = _ParsedCache()
+# IRI group text -> its Iri, for every parse here.  Its reads and writes are
+# single dict operations, so runs on several threads may share it: at worst
+# two of them enter equal Iri objects for one IRI.
+_IRIS: dict[str, Iri] = {}
 
 
 def parse_ntriples(data: bytes, doc_scope: str) -> tuple[tuple, tuple]:
-    """``rdf.parse_ntriples`` as tuples, taken from the lent cache when it holds them."""
-    cache, key = _LENT.get(), (data, doc_scope)
-    parsed = cache.get(key) if cache else None
+    """``rdf.parse_ntriples`` as tuples, taken from the process's cache when it holds them."""
+    key = (data, doc_scope)
+    parsed = _PARSED.get(key)
     if parsed is None:
-        found, bad = rdf.parse_ntriples(data, doc_scope)
+        found, bad = rdf.parse_ntriples(data, doc_scope, _IRIS)
+        if len(_IRIS) > PARSED_BUDGET // 64:
+            _IRIS.clear()
         parsed = (tuple(found), tuple(bad))
-        if cache:
-            cache.put(key, parsed)
+        _PARSED.put(key, parsed)
     return parsed
 
 
-def forget_parses(resolver: Resolver) -> None:
-    """Empty the resolver's parsed-document cache: its next run parses every body it retrieves."""
-    with suppress(KeyError, TypeError):
-        del _caches[resolver]
+def forget_parses() -> None:
+    """Empty the cache of parses and the IRI table: the next run parses every body it retrieves."""
+    _PARSED.clear()
+    _IRIS.clear()
 
 
 _TIMEOUT = object()  # hop outcome for an overrun of ``timeout_ms``
@@ -492,11 +504,6 @@ class DereferenceManager:
     on that thread.  ``request`` performs one hop and is the only method
     that may run on a pool worker.  Each hop IRI is looked up at most once
     per run, so redirecting roots that share a target pay for it once.
-    It also owns the run's IRI table, which it lends the parser for each
-    document (``rdf.RUN_IRIS``), so that the documents it parses share one
-    ``Iri`` per IRI; the table goes with the manager, at the end of the run.
-    It lends the resolver's cache of parses too (``_LENT``): a hit carries
-    the equal ``Iri`` objects of the run that parsed it.
     """
 
     def __init__(self, resolver: Resolver, config: FetchConfig | None = None, clock: Clock | None = None) -> None:
@@ -508,11 +515,6 @@ class DereferenceManager:
         self._outcomes: dict[str, object] = {}  # hop IRI -> its outcome, None while out
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
-        self._iris: dict[str, Iri] = {}  # the run's IRI table, lent to the parser
-        try:  # the resolver's parsed-document cache, made on first use
-            self._parsed: _ParsedCache | None = _caches.setdefault(resolver, _ParsedCache())
-        except TypeError:  # not weakly referenceable, or not hashable
-            self._parsed = None
 
     def dereference(self, root: Iri) -> DerefResult:
         """Chase ``root``, performing each hop with ``request`` on this thread."""
@@ -574,12 +576,7 @@ class DereferenceManager:
                 continue
             if not 200 <= resp.status < 300:
                 return done(DerefStatus.HTTP_ERROR, http_status=resp.status)
-            lent = RUN_IRIS.set(self._iris), _LENT.set(self._parsed)
-            try:
-                triples, errors = parse_ntriples(resp.body, doc_scope=current)
-            finally:
-                RUN_IRIS.reset(lent[0])
-                _LENT.reset(lent[1])
+            triples, errors = parse_ntriples(resp.body, doc_scope=current)
             if errors and not triples and resp.body.strip():
                 return done(
                     DerefStatus.PARSE_FAILURE,

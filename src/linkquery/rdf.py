@@ -32,16 +32,15 @@ term scanner, which reports why it is not a triple.
 
 The IRI check runs when an IRI group's text first enters the parser's IRI
 table, so it runs once per distinct IRI, not once per occurrence. Documents
-retrieved together keep naming the same IRIs, so a fetcher may lend the
-parser one IRI table for all the documents of a run (``RUN_IRIS``); they
-then share one ``Iri`` per IRI, checked once per run. Without a lent table
+retrieved together keep naming the same IRIs, so a caller may pass the
+parser one IRI table for many documents; they then share one ``Iri`` per
+IRI, checked once while it stays in the table. Without a table passed in,
 each document has one of its own.
 """
 
 from __future__ import annotations
 
 import re
-from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Union
@@ -225,13 +224,6 @@ RDFS_SEEALSO = Iri(RDFS_NS + "seeAlso")
 OWL_SAMEAS = Iri(OWL_NS + "sameAs")
 
 
-# The IRI table a fetcher lends ``parse_ntriples`` for the documents of one
-# run, so that they share one Iri per IRI; None outside a run. It is not a
-# parameter because the benchmark's tracer wraps ``parse_ntriples`` as a
-# two-argument function, and a third argument would not reach the parser.
-RUN_IRIS: ContextVar[dict[str, Iri] | None] = ContextVar("RUN_IRIS", default=None)
-
-
 class TermScanError(ValueError):
     def __init__(self, msg: str, pos: int) -> None:
         super().__init__(msg)
@@ -292,7 +284,9 @@ def _reason(line: str, scope: str) -> str:
     raise AssertionError(f"the term scanner reads a line the parser rejected: {line!r}")
 
 
-def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], list[ParseError]]:
+def parse_ntriples(
+    data: bytes | str, doc_scope: str, iris: dict[str, Iri] | None = None
+) -> tuple[list[Triple], list[ParseError]]:
     """Parse N-Triples leniently.
 
     Every line is attempted independently: malformed lines are collected as
@@ -300,9 +294,10 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
     Never raises on document content.
 
     One scan of ``_DOC_RE`` reads every line of the document. IRIs come from
-    the table in ``RUN_IRIS`` when a fetcher lends one, and from a table of
-    this document's own otherwise; an IRI group's text is checked only when
-    it is not in the table yet.
+    ``iris``, an IRI table that maps IRI group text to its ``Iri`` and that
+    the parse adds to, or from a table of this document's own when it is
+    None; an IRI group's text is checked only when it is not in the table
+    yet.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8", errors="replace")
@@ -312,9 +307,8 @@ def parse_ntriples(data: bytes | str, doc_scope: str) -> tuple[list[Triple], lis
     errors: list[ParseError] = []
     new = tuple.__new__
     append = triples.append
-    iris = RUN_IRIS.get()
     if iris is None:
-        iris = {}  # IRI group text -> its checked Iri
+        iris = {}
     known = iris.get
 
     def iri(body: str) -> Iri:

@@ -1,12 +1,20 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from linkquery import fetch
+
 settings.register_profile(
     "default",
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def cold_parses():
+    """Every test starts with no parse cached and an empty IRI table, which the whole process shares."""
+    fetch.forget_parses()
 
 
 @pytest.fixture

@@ -253,9 +253,9 @@ def test_run_suite_starts_every_run_cold(write_web, monkeypatch):
     entries = [SuiteEntry("q01", "entity-s", parse_query(f"SELECT ?o WHERE {{ <{ns}s> <{ns}p> ?o . }}"))]
     scopes, parse = [], rdf.parse_ntriples
 
-    def counting(data, doc_scope):
+    def counting(data, doc_scope, *table):
         scopes.append(doc_scope)
-        return parse(data, doc_scope)
+        return parse(data, doc_scope, *table)
 
     monkeypatch.setattr(rdf, "parse_ntriples", counting)
     resolver = FixtureResolver(manifest)

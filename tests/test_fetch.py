@@ -1,15 +1,14 @@
-import gc
 import io
 import random
 import sys
 import threading
-import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkquery import fetch, rdf
+from linkquery.cli import main
 from linkquery.fetch import (
     DereferenceManager,
     DerefStatus,
@@ -26,7 +25,7 @@ from linkquery.fetch import (
     parse_resolver_spec,
     read_records,
 )
-from linkquery.rdf import RUN_IRIS, Iri, parse_ntriples
+from linkquery.rdf import Iri, parse_ntriples
 
 A = "http://w.example/a"
 B = "http://w.example/b"
@@ -73,6 +72,16 @@ def test_fixture_accepts_directory_and_comments(tmp_path):
 def test_fixture_rejects_nested_delay(write_web):
     with pytest.raises(ValueError, match="nested DELAY"):
         FixtureResolver(write_web({A: "!DELAY 5 THEN DELAY 5 THEN STATUS 200"}))
+
+
+def test_fixture_rejects_a_negative_delay(write_web, capsys):
+    # Read when the manifest is, not left to fail in a sleep on a pool worker.
+    manifest = write_web({A: NT, B: "!DELAY -5 THEN FILE doc000.nt"})
+    with pytest.raises(ValueError, match="manifest line 2: bad DELAY duration '-5'"):
+        parse_resolver_spec(f"fixture:{manifest}")
+    assert main(["query", f"SELECT ?o WHERE {{ <{A}> <http://w.example/p> ?o . }}",
+                 "--resolver", f"fixture:{manifest}"]) == 2
+    assert "bad DELAY duration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["!FILE", "!REDIRECT", "!STATUS abc", "!WHATEVER x", "!DELAY 5 THEN"])
@@ -271,24 +280,39 @@ def test_documents_of_one_run_share_their_iris(write_web):
     first = manager(FixtureResolver(web))
     a, b = (first.dereference(Iri(x)).document.triples[0] for x in (A, B))
     assert a.predicate == b.predicate and a.predicate is b.predicate
-    # A manager of its own starts an empty table: equal IRIs, other objects.
+    # Once the parses are forgotten, the table starts empty: equal IRIs, other objects.
+    fetch.forget_parses()
     again = manager(FixtureResolver(web)).dereference(Iri(A)).document.triples[0]
     assert again == a and all(x is not y for x, y in zip(again, a))
 
 
-def test_the_run_table_is_lent_only_for_the_parse(write_web, monkeypatch):
-    web = write_web({A: NT})
-    assert manager(FixtureResolver(web)).dereference(Iri(A)).status == DerefStatus.OK
-    assert RUN_IRIS.get() is None
+def test_a_cache_hit_and_a_miss_in_one_run_share_their_iris(write_web):
+    web = write_web({A: NT, B: "<http://w.example/b> <http://w.example/p> <http://w.example/o2> .\n"})
+    resolver = FixtureResolver(web)
+    manager(resolver).dereference(Iri(A))  # an earlier run leaves A parsed
+    m = manager(resolver)
+    hit, miss = (m.dereference(Iri(x)).document.triples[0] for x in (A, B))
+    assert hit.predicate is miss.predicate
 
-    def crash(data, doc_scope):
-        assert RUN_IRIS.get() is not None
-        raise RuntimeError("parser crashed")
 
-    monkeypatch.setattr(fetch, "parse_ntriples", crash)
-    with pytest.raises(RuntimeError, match="parser crashed"):
-        manager(FixtureResolver(web)).dereference(Iri(A))
-    assert RUN_IRIS.get() is None
+def test_forget_parses_empties_the_cache_and_the_iri_table(write_web):
+    manager(FixtureResolver(write_web({A: NT}))).dereference(Iri(A))
+    assert fetch._IRIS and fetch._PARSED.docs
+    fetch.forget_parses()
+    assert not fetch._IRIS and not fetch._PARSED.docs and fetch._PARSED.size == 0
+
+
+def test_the_iri_table_never_outgrows_its_bound(monkeypatch):
+    monkeypatch.setattr(fetch, "PARSED_BUDGET", 64 * 10)  # a bound of 10 IRIs
+    bodies = {f"{A}/{k}": f"<{A}/{k}> <http://w.example/p> <{A}/o{k}> .\n".encode() for k in range(30)}
+    m = manager(Served(bodies))
+    sizes = []
+    for iri, body in bodies.items():
+        assert m.dereference(Iri(iri)).document.triples == tuple(parse_ntriples(body, iri)[0])
+        sizes.append(len(fetch._IRIS))
+    # Each document names two new IRIs; the fifth takes the table past 10, which empties it.
+    assert sizes[:6] == [3, 5, 7, 9, 0, 3]
+    assert max(sizes) <= 10
 
 
 # -- the parsed-document cache --------------------------------------------------
@@ -312,9 +336,9 @@ def counted_parses(monkeypatch, module=rdf):
     scopes = []
     parse = module.parse_ntriples
 
-    def counting(data, doc_scope):
+    def counting(data, doc_scope, *table):
         scopes.append(doc_scope)
-        return parse(data, doc_scope)
+        return parse(data, doc_scope, *table)
 
     monkeypatch.setattr(module, "parse_ntriples", counting)
     return scopes
@@ -329,8 +353,26 @@ def test_a_body_served_again_on_one_resolver_is_parsed_once(write_web, monkeypat
     assert parses == [A]
     assert again.document.triples is first.document.triples  # the cached tuple, not a copy
     assert [m.lookups_used for m in runs] == [1, 1]  # the warm run still looks the body up
-    assert manager(FixtureResolver(web)).dereference(Iri(A)).document.triples == first.document.triples
-    assert parses == [A, A]  # another resolver has a cache of its own
+
+
+def test_two_resolvers_serving_one_body_parse_it_once(write_web, monkeypatch):
+    parses = counted_parses(monkeypatch)
+    first = manager(FixtureResolver(write_web({A: NT}))).dereference(Iri(A))
+    again = manager(Served({A: NT.encode()})).dereference(Iri(A))
+    assert parses == [A]
+    assert again.document.triples is first.document.triples
+
+
+def test_runs_on_many_resolvers_keep_one_budget(monkeypatch):
+    line = NT.encode()
+    body = line * (fetch.PARSED_BUDGET // 3 // len(line))  # three fit in the budget, four do not
+    scopes = [f"{A}/{k}" for k in range(4)]
+    parses = counted_parses(monkeypatch)
+    for scope in scopes:  # a resolver of its own for each body
+        assert manager(Served({scope: body})).dereference(Iri(scope)).status == DerefStatus.OK
+    assert parses == scopes
+    assert [scope for _, scope in fetch._PARSED.docs] == scopes[1:]
+    assert fetch._PARSED.size == 3 * len(body) <= fetch.PARSED_BUDGET
 
 
 def test_a_wrapper_of_fetch_parse_sees_hits_too(write_web, monkeypatch):
@@ -341,7 +383,7 @@ def test_a_wrapper_of_fetch_parse_sees_hits_too(write_web, monkeypatch):
         m = manager(resolver)
         assert [len(m.dereference(Iri(x)).document.triples) for x in (A, B)] == [1, 1]
     assert (parses, calls) == ([A, B], [A, B, A, B])
-    fetch.forget_parses(resolver)
+    fetch.forget_parses()
     manager(resolver).dereference(Iri(A))
     assert parses == [A, B, A]  # an emptied cache parses again
 
@@ -366,7 +408,7 @@ def test_one_body_under_two_scopes_gets_blank_nodes_of_each(write_web):
         assert a.subject.label == b.subject.label == "b"
         assert (a.subject.scope, a.object.scope, b.subject.scope, b.object.scope) == (A, A, B, B)
         assert a != b
-    assert [scope for _, scope in fetch._caches[resolver].docs] == [A, B]
+    assert [scope for _, scope in fetch._PARSED.docs] == [A, B]
 
 
 def test_a_body_of_errors_only_fails_to_parse_on_a_warm_run_too(write_web, monkeypatch):
@@ -386,7 +428,7 @@ def test_an_oversized_body_is_not_kept(monkeypatch):
     parses = counted_parses(monkeypatch)
     for x in (A, B, B, A):
         assert manager(resolver).dereference(Iri(x)).status == DerefStatus.OK
-    cache = fetch._caches[resolver]
+    cache = fetch._PARSED
     assert parses == [A, B, B]  # B is parsed each time, and pushes nothing out
     assert [scope for _, scope in cache.docs] == [A]
     for x in (C, C):
@@ -404,7 +446,7 @@ def test_the_cache_evicts_the_least_recently_used_body(monkeypatch):
     for x in (A, B, A, C, A, B):  # C evicts B, the least recently used; B then evicts C
         manager(resolver).dereference(Iri(x))
     assert parses == [A, B, C, B]
-    cache = fetch._caches[resolver]
+    cache = fetch._PARSED
     assert [scope for _, scope in cache.docs] == [A, B]
     assert cache.size == sum(len(body) for body, _ in cache.docs) <= fetch.PARSED_BUDGET
 
@@ -435,31 +477,6 @@ def test_the_cache_keeps_its_byte_count_under_threads(monkeypatch):
     assert cache.size == sum(len(body) for body, _ in cache.docs) <= fetch.PARSED_BUDGET
 
 
-def test_a_resolver_that_cannot_be_weakly_referenced_gets_no_cache(monkeypatch):
-    class Slotted:
-        __slots__ = ()
-        is_local = True
-
-        def resolve(self, iri, timeout_s):
-            return RawResponse(200, body=NT.encode())
-
-    parses = counted_parses(monkeypatch)
-    resolver = Slotted()
-    for _ in range(2):
-        assert len(manager(resolver).dereference(Iri(A)).document.triples) == 1
-    assert parses == [A, A]
-    fetch.forget_parses(resolver)  # there is nothing to forget
-
-
-def test_a_cache_goes_with_its_resolver(write_web):
-    resolver = FixtureResolver(write_web({A: NT}))
-    manager(resolver).dereference(Iri(A))
-    cache = weakref.ref(fetch._caches[resolver])
-    del resolver
-    gc.collect()
-    assert cache() is None
-
-
 CACHED_BODIES = (
     NT,
     NT + "junk line\n_:b <http://w.example/q> _:c .\n",
@@ -476,6 +493,7 @@ CACHED_BODIES = (
     lookups=st.lists(st.tuples(st.sampled_from(CACHED_BODIES), st.sampled_from((A, B, C))), max_size=25),
 )
 def test_every_cache_hit_equals_a_fresh_parse(budget, lookups):
+    fetch.forget_parses()  # each example starts cold
     resolver = Served({})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fetch, "PARSED_BUDGET", budget)
@@ -488,7 +506,7 @@ def test_every_cache_hit_equals_a_fresh_parse(budget, lookups):
                 assert got.detail == f"{len(errors)} parse errors, no triples"
             else:
                 assert got.status == DerefStatus.OK and got.document.triples == tuple(triples)
-            cache = fetch._caches[resolver]
+            cache = fetch._PARSED
             assert cache.size == sum(len(b) for b, _ in cache.docs) <= budget
 
 

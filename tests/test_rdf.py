@@ -14,7 +14,6 @@ from linkquery.rdf import (
     Iri,
     Literal,
     ParseError,
-    RUN_IRIS,
     Triple,
     _parse_line,
     parse_ntriples,
@@ -181,11 +180,11 @@ _TRIPLE_LINE = f"{_S} {_P} <http://a/o> .\n"
 @pytest.mark.parametrize(
     "doc, n_triples, n_errors",
     [
-        (f'{_S} {_P} "' + '\\"' * 300_000, 0, 1),  # unterminated literal of escaped quotes
-        (f'{_S} {_P} "' + "a" * 600_000, 0, 1),  # unterminated plain literal
-        ("<" * 600_000, 0, 1),
-        ("_:" + "b" * 600_000 + f" {_P} <http://a/o> .", 1, 0),
-        (f'{_S} {_P} "x"@a' + "-a" * 300_000 + " .", 1, 0),
+        pytest.param(f'{_S} {_P} "' + '\\"' * 300_000, 0, 1, id="unterminated-escaped-quotes"),
+        pytest.param(f'{_S} {_P} "' + "a" * 600_000, 0, 1, id="unterminated-literal"),
+        pytest.param("<" * 600_000, 0, 1, id="brackets"),
+        pytest.param("_:" + "b" * 600_000 + f" {_P} <http://a/o> .", 1, 0, id="long-blank-node-label"),
+        pytest.param(f'{_S} {_P} "x"@a' + "-a" * 300_000 + " .", 1, 0, id="long-language-tag"),
         # Whole documents: a hostile line between triple lines, and many short
         # bad or comment lines among them.
         pytest.param(_TRIPLE_LINE + "<" * 600_000 + "\n" + _TRIPLE_LINE, 2, 1, id="brackets-between-triples"),
@@ -440,19 +439,17 @@ def _typed(parsed):
 @settings(max_examples=300)
 @given(st.lists(_documents(), min_size=1, max_size=6))
 def test_a_lent_iri_table_changes_no_parse(docs):
-    token = RUN_IRIS.set({})
-    try:
-        lent = [parse_ntriples(d, "d") for d in docs]
-    finally:
-        RUN_IRIS.reset(token)
+    table = {}
+    lent = [parse_ntriples(d, "d", table) for d in docs]
     alone = [parse_ntriples(d, "d") for d in docs]
     assert [_typed(x) for x in lent] == [_typed(x) for x in alone]
     assert [_typed(x) for x in alone] == [_typed(_line_by_line(d)) for d in docs]
-    # Under the lent table, each IRI is one object across all the documents.
+    # Under one table, each IRI is one object across all the documents, and the table's own.
     seen = {}
     for triples, _ in lent:
         for iri in (x for t in triples for x in t if isinstance(x, Iri)):
             assert seen.setdefault(iri, iri) is iri
+            assert table[iri] is iri
 
 
 _bad_lines = _lines.filter(lambda line: _scanned(line)[1])
