@@ -35,12 +35,12 @@ With ``--parse`` it times only the two trees' ``parse_ntriples``, on the
 web's ``.nt`` documents in three variants: as written, with one comment line
 put first, and with one bad line put last.  A pass parses every document of
 a variant on both trees, in an order drawn per pass, in groups of
-``PARSE_GROUP`` documents that share one IRI table, as the documents of a
-run do: passed as ``parse_ntriples``'s third argument, or lent through
-``rdf.RUN_IRIS`` to a tree whose parser takes no such argument.  It prints, per variant, each tree's median
-CPU milliseconds per pass and the median over the passes of the ratio
-NEW/OLD, and exits 1 when the two trees' triples, or the line numbers or
-reasons of their errors, differ on some document.
+``PARSE_GROUP`` documents that share one IRI table, passed as
+``parse_ntriples``'s third argument, as the documents of a run do.  It
+prints, per variant, each tree's median CPU milliseconds per pass and the
+median over the passes of the ratio NEW/OLD, and exits 1 when the two trees'
+triples, or the line numbers or reasons of their errors, differ on some
+document.
 """
 
 from __future__ import annotations
@@ -119,15 +119,8 @@ def parse_pass(rdf, docs: list[bytes]) -> tuple[float, list]:
     parsed = []
     t0 = process_time()
     for start in range(0, len(docs), PARSE_GROUP):
-        group, table = docs[start:start + PARSE_GROUP], {}
-        if hasattr(rdf, "RUN_IRIS"):  # a tree whose parser takes its table from a context variable
-            lent = rdf.RUN_IRIS.set(table)
-            try:
-                parsed += [rdf.parse_ntriples(doc, "d") for doc in group]
-            finally:
-                rdf.RUN_IRIS.reset(lent)
-        else:
-            parsed += [rdf.parse_ntriples(doc, "d", table) for doc in group]
+        table = {}
+        parsed += [rdf.parse_ntriples(doc, "d", table) for doc in docs[start:start + PARSE_GROUP]]
     return process_time() - t0, parsed
 
 

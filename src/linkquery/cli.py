@@ -23,7 +23,7 @@ from typing import Sequence, TextIO
 
 from .bench import EMITTERS, SuiteEntry, aggregate, load_suite, run_suite, write_per_query_csv
 from .engine import ALL_SETUPS, EngineOptions, QueryRun, Setup, execute
-from .fetch import FetchConfig, RecordResolver, TransportError, parse_resolver_spec
+from .fetch import FetchConfig, RecordResolver, parse_resolver_spec
 from .fixturegen import WebSpec, generate_web
 from .query import BgpQuery, QueryError, parse_query
 
@@ -280,7 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, TransportError) as exc:
+    except OSError as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return 3
 

@@ -531,13 +531,14 @@ def execute(
         # The scan reads the matches just added; its wants precede the deltas'.
         # It reads the raw triples whose forms may have changed: all of them
         # after a replan, else the re-keyed and the fresh ones, whose forms the
-        # store computed once, in ``delta.forms``.  A store with neither
-        # owl:sameAs nor rules has the fresh triples as its view delta, so the
-        # matched ones are exactly those the evaluator just reported.
+        # store computed once, in ``delta.forms``.  No setup with rules
+        # speculates (``carrier_is_speculative``), so a store without
+        # owl:sameAs has the fresh triples as its view delta, and the matched
+        # ones are exactly those the evaluator just reported.
         if speculative:
             if replanned:
                 scan_speculative(t for t in raw_order if evaluator.matches(canonical_triple(t, store.equiv)))
-            elif store.use_sameas or store.use_rhodf:
+            elif store.use_sameas:
                 pairs = zip(delta.rekeyed + delta.fresh, delta.forms)
                 scan_speculative(t for t, form in pairs if evaluator.matches(form))
             else:

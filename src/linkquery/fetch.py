@@ -31,10 +31,10 @@ serves the hops of a resolver that never blocks on the calling thread, and
 overlaps the hops of one that can on a pool of ``max_parallel`` workers.
 
 Archive layout, per hop record, little-endian:
-u32 iri length, iri bytes, u32 final-iri length, final-iri bytes (the
-redirect target for 3xx hops, the iri itself otherwise), u16 status
-(0 marks a transport failure, 1 a request that ran past its timeout), u32
-body length, body bytes.
+u32 iri length, iri bytes, u32 location length, location bytes (the
+response's Location, empty when it had none), u16 status (as ``perform``
+gave it, which the run acted on: 0 for no response, 1 for an overrun of
+``timeout_ms``), u32 body length, body bytes.
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ class Resolver(Protocol):
         declare it to block.
         """
 
-    def resolve(self, iri: str, timeout_s: float) -> RawResponse: ...
+    def resolve(self, iri: str, timeout_s: float) -> RawResponse:
+        """One hop, or ``TransportError``; statuses 0 and 1 are reserved for the outcomes of ``perform``."""
 
 
 # --- fixture webs -----------------------------------------------------------
@@ -155,9 +156,12 @@ def _parse_directive(text: str, base_dir: str, lineno: int) -> _Action:
         return ("redirect", rest.strip())
     if kind == "STATUS":
         try:
-            return ("status", int(rest.strip()))
+            code = int(rest.strip())
         except ValueError:
-            raise ValueError(f"manifest line {lineno}: bad STATUS code {rest!r}") from None
+            code = 0
+        if not 100 <= code <= 599:  # RFC 9110 §15; 0 and 1 are the reserved outcomes
+            raise ValueError(f"manifest line {lineno}: bad STATUS code {rest!r}")
+        return ("status", code)
     if kind == "DELAY":
         sub = rest.split(None, 2)
         if len(sub) < 3 or sub[1].upper() != "THEN":
@@ -271,10 +275,12 @@ def read_records(path: str | Path) -> Iterator[tuple[str, str, int, bytes]]:
 
 
 class RecordResolver:
-    """Wraps a resolver and appends every hop it performs to an archive."""
+    """Wraps a resolver, and appends to an archive and returns each hop's outcome as ``perform``
+    gives it on a ``RealClock``, the clock of ``execute``."""
 
     def __init__(self, inner: Resolver, archive: str | Path) -> None:
         self._inner = inner
+        self._clock = RealClock()
         self._path = Path(archive)
         self._fh: BinaryIO = open(self._path, "wb")
         self._lock = threading.Lock()
@@ -289,20 +295,12 @@ class RecordResolver:
         return getattr(self._inner, "may_block", True)
 
     def resolve(self, iri: str, timeout_s: float) -> RawResponse:
-        try:
-            resp = self._inner.resolve(iri, timeout_s)
-        except TransportError as e:
-            self._write(iri, iri, 1 if isinstance(e, HopTimeout) else 0, b"")
-            raise
-        final = resp.location if resp.location and 300 <= resp.status < 400 else iri
-        self._write(iri, final, resp.status, resp.body)
-        return resp
-
-    def _write(self, iri: str, final: str, status: int, body: bytes) -> None:
+        resp = perform(self._inner, iri, timeout_s, self._clock)
         with self._lock:
-            append_record(self._fh, iri, final, status, body)
+            append_record(self._fh, iri, resp.location or "", resp.status, resp.body)
             self._fh.flush()
             self.records_written += 1
+        return resp
 
     def close(self) -> None:
         with self._lock:
@@ -317,15 +315,15 @@ class RecordResolver:
 
 
 class ReplayResolver:
-    """Serves hops from an archive; unknown IRIs 404 with a warning."""
+    """Serves hops from an archive, outcomes included; unknown IRIs 404 with a warning."""
 
     is_local = True
 
     def __init__(self, archive: str | Path) -> None:
-        self._responses: dict[str, tuple[str, int, bytes]] = {}
-        for iri, final, status, body in read_records(archive):
+        self._responses: dict[str, RawResponse] = {}
+        for iri, location, status, body in read_records(archive):
             # First record wins; a well-formed archive has one per hop IRI.
-            self._responses.setdefault(iri, (final, status, body))
+            self._responses.setdefault(iri, RawResponse(status, body, location or None))
 
     @property
     def may_block(self) -> bool:
@@ -335,18 +333,11 @@ class ReplayResolver:
         return len(self._responses)
 
     def resolve(self, iri: str, timeout_s: float) -> RawResponse:
-        hit = self._responses.get(iri)
-        if hit is None:
+        resp = self._responses.get(iri)
+        if resp is None:
             log.warning("replay archive has no record for %s; serving 404", iri)
             return RawResponse(404)
-        final, status, body = hit
-        if status == 0:
-            raise TransportError(f"recorded transport failure for {iri}")
-        if status == 1:
-            raise HopTimeout(f"recorded timeout for {iri}")
-        if 300 <= status < 400:
-            return RawResponse(status, location=final)
-        return RawResponse(status, body=body)
+        return resp
 
 
 class LiveResolver:
@@ -492,8 +483,26 @@ def forget_parses() -> None:
     _IRIS.clear()
 
 
-_TIMEOUT = object()  # hop outcome for an overrun of ``timeout_ms``
-_TRANSPORT_FAILURE = object()  # hop outcome for a ``TransportError``
+NO_RESPONSE = 0  # status of a hop that produced no response
+OVERRAN = 1  # status of a hop that ran past its timeout
+
+
+def perform(resolver: Resolver, iri: str, timeout_s: float, clock: Clock) -> RawResponse:
+    """Perform one hop: its response, ``OVERRAN`` on an overrun of ``timeout_s``, or ``NO_RESPONSE``."""
+    t0 = clock.now()
+    try:
+        resp = resolver.resolve(iri, timeout_s)
+    except HopTimeout:
+        return RawResponse(OVERRAN)
+    except TransportError as e:
+        log.debug("transport failure for %s: %s", iri, e)
+        resp = RawResponse(NO_RESPONSE)
+    if clock.now() - t0 > timeout_s:
+        # Local resolvers do not enforce the timeout themselves; a
+        # fixture delay longer than the timeout still counts as one,
+        # whatever the hop then served or failed with.
+        return RawResponse(OVERRAN)
+    return resp
 
 
 class DereferenceManager:
@@ -512,7 +521,7 @@ class DereferenceManager:
         self._clock: Clock = clock or RealClock()
         self.deadline = self._clock.now() + self._cfg.deadline_ms / 1000.0  # on this clock; no hop starts after it
         self.lookups_used = 0
-        self._outcomes: dict[str, object] = {}  # hop IRI -> its outcome, None while out
+        self._outcomes: dict[str, RawResponse | None] = {}  # hop IRI -> its outcome, None while out
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
 
@@ -526,10 +535,9 @@ class DereferenceManager:
                 return stop.value
             outcome = self.request(hop)
 
-    def chase(self, root: Iri) -> Generator[str, object, DerefResult]:
-        """Yield each hop of ``root`` whose outcome is unknown, to be sent it (a ``RawResponse``,
-        ``_TIMEOUT`` or ``_TRANSPORT_FAILURE``), and return the result.  Budget is reserved on a
-        hop's first yield."""
+    def chase(self, root: Iri) -> Generator[str, RawResponse | None, DerefResult]:
+        """Yield each hop of ``root`` whose outcome is unknown, to be sent it (the ``RawResponse``
+        of ``request``), and return the result.  Budget is reserved on a hop's first yield."""
         t_start = self._clock.now()
         here = root  # the checked IRI of the current hop
         current = root.value  # and its text, which scopes the document's blank nodes
@@ -553,15 +561,14 @@ class DereferenceManager:
                     return done(DerefStatus.SKIPPED, detail="lookup budget exhausted")
                 self.lookups_used += 1
                 self._outcomes[current] = None
-            outcome = self._outcomes[current]
-            if outcome is None:
-                outcome = self._outcomes[current] = yield current
+            resp = self._outcomes[current]
+            if resp is None:
+                resp = self._outcomes[current] = yield current
             hops += 1
-            if outcome is _TIMEOUT:
+            if resp.status == OVERRAN:
                 return done(DerefStatus.TIMED_OUT, detail=current)
-            if outcome is _TRANSPORT_FAILURE:
+            if resp.status == NO_RESPONSE:
                 return done(DerefStatus.TRANSPORT_FAILURE, detail=current)
-            resp: RawResponse = outcome  # type: ignore[assignment]
             if 300 <= resp.status < 400:
                 if not resp.location:
                     return done(DerefStatus.HTTP_ERROR, http_status=resp.status, detail="redirect without location")
@@ -586,8 +593,9 @@ class DereferenceManager:
             doc = Document(iri=root.value, triples=tuple(triples))
             return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=here)
 
-    def request(self, iri: str):
-        """Perform one hop: its ``RawResponse``, ``_TRANSPORT_FAILURE`` or ``_TIMEOUT`` on an overrun."""
+    def request(self, iri: str) -> RawResponse:
+        """Perform one hop with ``perform``, after the politeness delay of a remote host."""
+        timeout_s = self._cfg.timeout_ms / 1000.0
         if not self._resolver.is_local and self._cfg.politeness_delay_ms:
             host = urlsplit(iri).netloc
             with self._host_locks.setdefault(host, threading.Lock()):  # atomic, as workers call this
@@ -597,22 +605,5 @@ class DereferenceManager:
                     if wait > 0:
                         self._clock.sleep(wait)
                 self._host_last[host] = self._clock.now()
-                return self._request(iri)
-        return self._request(iri)
-
-    def _request(self, iri: str):
-        timeout_s = self._cfg.timeout_ms / 1000.0
-        t0 = self._clock.now()
-        try:
-            outcome = self._resolver.resolve(iri, timeout_s)
-        except HopTimeout:
-            return _TIMEOUT
-        except TransportError as e:
-            log.debug("transport failure for %s: %s", iri, e)
-            outcome = _TRANSPORT_FAILURE
-        if self._clock.now() - t0 > timeout_s:
-            # Local resolvers do not enforce the timeout themselves; a
-            # fixture delay longer than the timeout still counts as one,
-            # whatever the hop then served or failed with.
-            return _TIMEOUT
-        return outcome
+                return perform(self._resolver, iri, timeout_s, self._clock)
+        return perform(self._resolver, iri, timeout_s, self._clock)

@@ -19,7 +19,15 @@ from linkquery.engine import (
     plan_order,
     unify_triple,
 )
-from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver, HopTimeout, RawResponse
+from linkquery.fetch import (
+    DerefStatus,
+    FetchConfig,
+    FixtureResolver,
+    HopTimeout,
+    RawResponse,
+    RecordResolver,
+    ReplayResolver,
+)
 from linkquery.fixturegen import WebSpec, generate_web, naive_join
 from linkquery.query import BgpQuery, TriplePattern, Variable, binding_text, parse_query
 from linkquery.rdf import Iri, Literal, Triple
@@ -805,6 +813,33 @@ def test_a_hop_that_times_out_and_fails_flags_the_run_truncated(write_web, resol
     run = execute(q(CHAIN_Q), Setup.BASE, resolver(manifest), config=FetchConfig(timeout_ms=100, max_parallel=2))
     assert [(e.iri, e.status.value) for e in run.events] == [(S, "ok"), (I("a"), "timed-out")]
     assert run.metrics.truncated is True
+
+
+def test_a_replayed_faulty_run_reproduces_the_recorded_run(write_web, tmp_path):
+    # c's hop overruns timeout_ms and then serves its document, e's is a 3xx
+    # without a Location and g's document is missing.
+    manifest = write_web({
+        NS + "s": nt(*((iri("s"), iri("p1"), iri(x)) for x in "aceg")),
+        NS + "a": nt((iri("a"), iri("p2"), iri("b"))),
+        NS + "c": "!DELAY 200 THEN FILE doc001.nt",
+        NS + "e": "!STATUS 302",
+        NS + "g": "!FILE gone.nt",
+    })
+    config = FetchConfig(timeout_ms=50)
+    tape = tmp_path / "tape.bin"
+    with RecordResolver(FixtureResolver(manifest), tape) as recorder:
+        recorded = execute(q(CHAIN_Q), Setup.BASE, recorder, config=config)
+    replayed = execute(q(CHAIN_Q), Setup.BASE, ReplayResolver(tape), config=config)
+
+    def seen(run):
+        # The recorded run's hops complete on the pool, so its events are compared as a set.
+        m = run.metrics
+        return (sorted((e.iri.value, e.reason, e.status, e.http_status) for e in run.events),
+                (m.results, m.http_lookups, m.retrieved_triples, m.inferred_triples), m.truncated)
+
+    assert {(e.iri, e.status.value) for e in recorded.events} >= {
+        (I("c"), "timed-out"), (I("e"), "http-error"), (I("g"), "transport-failure")}
+    assert seen(replayed) == seen(recorded)
 
 
 def test_deadline_bounds_wall_time(write_web):

@@ -84,10 +84,28 @@ def test_fixture_rejects_a_negative_delay(write_web, capsys):
     assert "bad DELAY duration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["!FILE", "!REDIRECT", "!STATUS abc", "!WHATEVER x", "!DELAY 5 THEN"])
+@pytest.mark.parametrize("bad", [
+    "!FILE", "!REDIRECT", "!STATUS abc", "!WHATEVER x", "!DELAY 5 THEN",
+    "!STATUS 0", "!STATUS 1", "!STATUS 99", "!STATUS 600", "!STATUS 70000", "!STATUS -1",
+])
 def test_fixture_rejects_bad_directives(write_web, bad):
     with pytest.raises(ValueError):
         FixtureResolver(write_web({A: bad}))
+
+
+@pytest.mark.parametrize("command", ["query", "record"])
+def test_an_out_of_range_status_fails_before_any_hop(write_web, tmp_path, capsys, command):
+    # 0 and 1 are the statuses of a hop with no response and of an overrun;
+    # 70000 does not fit the archive's u16.
+    manifest = write_web({A: NT, B: "!STATUS 70000"})
+    tape = tmp_path / "tape.bin"
+    with pytest.raises(ValueError, match="manifest line 2: bad STATUS code '70000'"):
+        parse_resolver_spec(f"fixture:{manifest}")
+    extra = ["--archive", str(tape), "--setups", "base", "--query"] if command == "record" else []
+    assert main([command, *extra, f"SELECT ?o WHERE {{ <{A}> <http://w.example/p> ?o . }}",
+                 "--resolver", f"fixture:{manifest}"]) == 2
+    assert "bad STATUS code" in capsys.readouterr().err
+    assert not tape.exists()
 
 
 def test_fixture_missing_file_is_transport_error(tmp_path):
@@ -598,11 +616,9 @@ def test_record_keeps_transport_failures(tmp_path):
 
     tape = tmp_path / "tape.bin"
     with RecordResolver(R(), tape) as recorder:
-        with pytest.raises(TransportError):
-            recorder.resolve(A, 1.0)
-    assert list(read_records(tape)) == [(A, A, 0, b"")]
-    with pytest.raises(TransportError):
-        ReplayResolver(tape).resolve(A, 1.0)
+        assert manager(recorder).dereference(Iri(A)).status == DerefStatus.TRANSPORT_FAILURE
+    assert list(read_records(tape)) == [(A, "", 0, b"")]
+    assert manager(ReplayResolver(tape)).dereference(Iri(A)).status == DerefStatus.TRANSPORT_FAILURE
 
 
 def test_record_keeps_timeouts(tmp_path):
@@ -614,10 +630,25 @@ def test_record_keeps_timeouts(tmp_path):
 
     tape = tmp_path / "tape.bin"
     with RecordResolver(R(), tape) as recorder:
-        with pytest.raises(HopTimeout):
-            recorder.resolve(A, 1.0)
-    assert list(read_records(tape)) == [(A, A, 1, b"")]
+        assert manager(recorder).dereference(Iri(A)).status == DerefStatus.TIMED_OUT
+    assert list(read_records(tape)) == [(A, "", 1, b"")]
     assert manager(ReplayResolver(tape)).dereference(Iri(A)).status == DerefStatus.TIMED_OUT
+
+
+@pytest.mark.parametrize("directive", [
+    "DELAY 200 THEN FILE doc001.nt", "DELAY 200 THEN STATUS 404", "STATUS 302", "FILE gone.nt",
+    f"REDIRECT {B}", "STATUS 500", "FILE doc001.nt",
+])
+def test_replay_reproduces_each_recorded_outcome(write_web, tmp_path, directive):
+    # The tape holds the outcome the run acted on: an overrun of timeout_ms
+    # included, whatever the hop then served.
+    manifest = write_web({A: "!" + directive, B: NT})
+    tape = tmp_path / "tape.bin"
+    with RecordResolver(FixtureResolver(manifest), tape) as recorder:
+        recorded = manager(recorder, timeout_ms=50).dereference(Iri(A))
+    replayed = manager(ReplayResolver(tape), timeout_ms=50).dereference(Iri(A))
+    fields = ("status", "http_status", "final_iri", "hops", "detail", "document")
+    assert [getattr(replayed, f) for f in fields] == [getattr(recorded, f) for f in fields]
 
 
 def test_replay_miss_is_404(tmp_path, caplog):
