@@ -50,6 +50,15 @@ earlier run on the resolver.  The warm stage compares NEW_ROOT's second
 pass, field by field as above, with its own first pass and with OLD_ROOT's
 second pass.
 
+The order stage comes last.  NEW_ROOT runs the ``-delay0`` copy of each
+chain web once more with ``FetchConfig(max_parallel=1)``; the copies of the
+``-redirect`` webs are left out, since roots that share a redirect target
+may take their events in another order.  One worker completes the hops in
+the order they were requested, so the stage compares each of these runs'
+ordered fetch events with NEW_ROOT's own inline run of the same web, query
+and setup.  OLD_ROOT's runs are not compared there: an older engine may feed
+the hops that complete between two waits in another order.
+
 Each stage prints the first difference and exits 1; the script exits 0 when
 every parse and every run matched.
 """
@@ -250,16 +259,17 @@ def parse_all(workdir: Path, webs: list[dict], out) -> None:
             record(f"{folder.name}/{doc.name}", doc.read_bytes())
 
 
-def run_webs(webs: list[dict], *passes) -> None:
+def run_webs(webs: list[dict], *passes, workers: int = 2) -> None:
     """Run each web's suite once per file in ``passes``, on one resolver per web."""
     from linkquery.bench import load_suite
     from linkquery.engine import execute
     from linkquery.fetch import DerefStatus, FetchConfig, FixtureResolver
 
-    config = FetchConfig(max_parallel=2)
+    config = FetchConfig(max_parallel=workers)
     for web in webs:
         resolver = FixtureResolver(web["manifest"])
-        inline = not resolver.may_block  # served on the calling thread, in a fixed order
+        # Served on the calling thread, or by one worker: in a fixed order.
+        ordered = not resolver.may_block or workers == 1
         redirects = web.get("redirects", {})
         for out in passes:
             for entry in load_suite(web["suite"]):
@@ -275,7 +285,7 @@ def run_webs(webs: list[dict], *passes) -> None:
                         "truncated": m.truncated,
                         "retrieved": sorted(i.value for i in run.retrieved_iris()),
                         "reasons": sorted([e.iri.value, e.reason] for e in run.events),
-                        "events": [[e.iri.value, e.reason, e.status.value] for e in run.events] if inline else None,
+                        "events": [[e.iri.value, e.reason, e.status.value] for e in run.events] if ordered else None,
                         "data": _digest(run.final.data),
                         "inferred": _digest(run.final.inferred),
                         "shared": len(targets) > len(set(targets)),
@@ -299,6 +309,9 @@ def worker(argv: list[str]) -> int:
         with (open(workdir / f"runs-{mode}.jsonl", "w", encoding="utf-8") as out,
               open(workdir / f"runs-{mode}-warm.jsonl", "w", encoding="utf-8") as warm):
             run_webs(webs, out, warm)
+        if mode == "new":
+            with open(workdir / "runs-new-one-worker.jsonl", "w", encoding="utf-8") as out:
+                run_webs([{**web, "name": web["ordered_as"]} for web in webs if "ordered_as" in web], out, workers=1)
     return 0
 
 
@@ -352,7 +365,10 @@ def add_chain_webs(seed: int, workdir: Path) -> list[dict]:
         copy, redirects = redirected(out / "manifest.tsv")
         via = {**web, "name": f"{web['name']}-redirect", "manifest": str(copy), "redirects": redirects}
         for w in (web, via):
-            webs += [w, {**w, "name": f"{w['name']}-delay0", "manifest": str(delayed(Path(w["manifest"])))}]
+            pooled = {**w, "name": f"{w['name']}-delay0", "manifest": str(delayed(Path(w["manifest"])))}
+            if w is web:  # the redirect copy's roots share hops, so its order may differ
+                pooled["ordered_as"] = web["name"]
+            webs += [w, pooled]
     return webs
 
 
@@ -370,6 +386,28 @@ def compare(old_path: Path, new_path: Path, fields: tuple[str, ...], what: str) 
                     return 1
             n += 1
     print(f"{n} {what} identical")
+    return 0
+
+
+def compare_order(inline_path: Path, one_worker_path: Path) -> int:
+    """Compare each one-worker pooled run's ordered events with the inline run of its web, query and setup."""
+    with open(one_worker_path, encoding="utf-8") as fh:
+        pooled = {tuple(rec["run"]): rec["events"] for rec in map(json.loads, fh)}
+    n = 0
+    with open(inline_path, encoding="utf-8") as fh:
+        for rec in map(json.loads, fh):
+            events = pooled.get(tuple(rec["run"]))
+            if events is None:
+                continue
+            if events != rec["events"]:
+                print(f"DIFF {'/'.join(rec['run'])} events at one worker:\n  inline {str(rec['events'])[:400]}\n"
+                      f"  pooled {str(events)[:400]}")
+                return 1
+            n += 1
+    if n != len(pooled):
+        print(f"{len(pooled) - n} one-worker runs have no inline run")
+        return 1
+    print(f"{n} pooled runs at one worker identical in event order to the inline runs")
     return 0
 
 
@@ -399,7 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         failed = (compare(workdir / "parses-old.jsonl", workdir / "parses-new.jsonl", PARSE_FIELDS, "parses")
                   or compare(old, new, FIELDS, "runs")
                   or compare(new, new_warm, FIELDS, "warm runs (against the first pass)")
-                  or compare(old_warm, new_warm, FIELDS, "warm runs (against OLD_ROOT's)"))
+                  or compare(old_warm, new_warm, FIELDS, "warm runs (against OLD_ROOT's)")
+                  or compare_order(new, workdir / "runs-new-one-worker.jsonl"))
         with open(workdir / "runs-new.jsonl", encoding="utf-8") as fh:
             print(f"{sum(json.loads(line)['shared'] for line in fh)} runs had two roots redirected to one target")
         return failed

@@ -37,30 +37,33 @@ chained again, the evaluator starts over from the store's live view.  The
 running evaluator's solutions are therefore the answers, and the live view
 gives Inferred.  For a fixed fixture web and an untruncated run, the
 reachable-document closure is order-independent, which makes Results, HTTP,
-Retrieved, and Inferred deterministic whichever way the hops are served.
+Retrieved, and Inferred deterministic whichever way the hops are served,
+since no want is withdrawn and a merge never reorders the plan.
 
 A resolver that never blocks (``may_block`` false: a fixture web without
 ``DELAY``, a replay archive) has its hops served on the calling thread, one
 at a time in request order; a thread would only add interpreter-lock
 handoffs.  A resolver that can wait (live HTTP, a fixture web with ``DELAY``,
 or one that does not say) has its hops, and only them, performed on a pool
-of ``max_parallel`` workers so that their waits overlap.
+of ``max_parallel`` workers so that their waits overlap; one driver loop
+takes them back in the order they complete.
 
-The deadline bounds the run's wall time.  On the pool, once it passes, every
-parked root is recorded as skipped, the run is flagged truncated, and
-``execute`` returns without waiting for the fetch workers.  On the calling
-thread, every hop started after it is skipped, so the run ends at most one
-hop and one document's processing past it.
+The deadline bounds the run's wall time.  On the pool, once it passes, each
+waiting root's own chase ends it as skipped, the run is flagged truncated,
+and ``execute`` returns without waiting for the fetch workers.  On the
+calling thread, every hop started after it is skipped, so the run ends at
+most one hop and one document's processing past it.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
+from queue import Empty, SimpleQueue
 from typing import Callable, Generator, Iterable, Mapping, Sequence
 
 from .fetch import (
@@ -84,6 +87,7 @@ from .rdf import RDF_TYPE, RDFS_SEEALSO, Iri, Term, Triple, term_to_text
 from .reasoner import EquivalenceClasses, FinalState, ReasoningStore, canonical_triple
 
 log = logging.getLogger(__name__)
+wait = SimpleQueue.get  # where the driver blocks for the next hop the pool completed
 
 
 class Setup(str, Enum):
@@ -207,6 +211,7 @@ class IncrementalEvaluator:
     def __init__(self, patterns: Sequence[TriplePattern]) -> None:
         self._seen_values: set[tuple[Term, str]] = set()
         self._plan(plan_order(patterns))
+        self._order = [patterns.index(p) for p in self.plan]  # fixed: ``replan`` never reorders the plan
 
     def _plan(self, plan: tuple[TriplePattern, ...]) -> None:
         self.plan = plan
@@ -347,8 +352,8 @@ class IncrementalEvaluator:
                     del self._partial_index[level + 1][self._join_key[level + 1](b)][key]
 
     def replan(self, patterns: Sequence[TriplePattern], triples: Iterable[Triple]) -> EvalDelta:
-        """Start over on ``patterns`` from ``triples``, the live view."""
-        self._plan(plan_order(patterns))
+        """Start over on ``patterns``, the constructor's with constants moved, from ``triples``, the live view."""
+        self._plan(tuple(patterns[i] for i in self._order))
         return self.add(triples)
 
     def solutions(self) -> list[dict[str, Term]]:
@@ -446,8 +451,6 @@ def execute(
     raw_order: list[Triple] = []
     relevant: set[Term] = set()                # canonical forms of query-relevant IRIs
     seealso_waiting: dict[Term, list[Iri]] = {}  # targets by canonical subject, until relevant
-    retrieved = 0
-    truncated = False
     first_s: float | None = None
     proj_vars = tuple(sorted(set(query.projected)))
 
@@ -509,8 +512,6 @@ def execute(
             first_s = clk.now() - t0
 
     def process_doc(doc) -> None:
-        nonlocal retrieved
-        retrieved += len(doc.triples)
         delta = store.ingest(doc.triples)
         raw_order.extend(delta.fresh)
         replanned = False
@@ -565,9 +566,6 @@ def execute(
 
     def take(iri: Iri, reason: str, res: DerefResult) -> None:
         """Record a hop's outcome and process its document."""
-        nonlocal truncated
-        if res.status in (DerefStatus.SKIPPED, DerefStatus.TIMED_OUT):  # a limit cut the run short
-            truncated = True
         events.append(
             FetchEvent(
                 iri=iri,
@@ -582,48 +580,46 @@ def execute(
         if res.status == DerefStatus.OK and res.document is not None:
             process_doc(res.document)
 
-    if not getattr(resolver, "may_block", True):
-        # The manager skips every hop started after the deadline.
-        while pending:
-            iri, reason = pending.popleft()
-            take(iri, reason, manager.dereference(iri))
-    else:
-        in_flight: dict[Future, str] = {}  # one future per hop out on the pool
-        parked: dict[str, list[tuple[Iri, str, Generator]]] = {}  # hop -> the roots' chases waiting on it
-        # Not a ``with`` block: joining the pool would wait out fetches that
-        # outlive the deadline.  Their workers finish in the background.
-        pool = ThreadPoolExecutor(max_workers=cfg.max_parallel)
+    # Not a ``with`` block: joining the pool would wait out fetches past the deadline.
+    pool = ThreadPoolExecutor(max_workers=cfg.max_parallel) if getattr(resolver, "may_block", True) else None
+    parked: dict[str, tuple[Future, list[tuple[Iri, str, Generator]]]] = {}  # hop out -> its future, waiting chases
+    done: SimpleQueue[str] = SimpleQueue()  # hops out, put here as they complete
 
-        def step(iri: Iri, reason: str, chase: Generator, outcome: object) -> None:
-            """Send a root's chase a hop outcome; park it on its next hop, or take its result."""
-            try:
-                hop = chase.send(outcome)
-            except StopIteration as stop:
-                take(iri, reason, stop.value)
-                return
-            if hop not in parked:
-                in_flight[pool.submit(manager.request, hop)] = hop
-            parked.setdefault(hop, []).append((iri, reason, chase))
-
+    def step(iri: Iri, reason: str, chase: Generator, outcome: object) -> None:
+        """Send a root's chase a hop outcome; park it on its next hop, or take its result."""
         try:
-            while True:
-                while pending:
-                    iri, reason = pending.popleft()
+            hop = chase.send(outcome)
+        except StopIteration as stop:
+            take(iri, reason, stop.value)
+            return
+        if hop not in parked:
+            fut = pool.submit(manager.request, hop)
+            fut.add_done_callback(lambda _: done.put(hop))
+            parked[hop] = (fut, [])
+        parked[hop][1].append((iri, reason, chase))
+
+    try:
+        while True:
+            while pending:
+                iri, reason = pending.popleft()
+                if pool is None:  # the manager skips every hop started after the deadline
+                    take(iri, reason, manager.dereference(iri))
+                else:
                     step(iri, reason, manager.chase(iri), None)
-                if not in_flight:
-                    break
-                timeout = max(0.0, manager.deadline - clk.now())
-                done, _ = wait(list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-                if not done:
-                    # The deadline passed: skip every parked root.  A hop cancelled unstarted was never looked up.
-                    manager.lookups_used -= sum(fut.cancel() for fut in in_flight)
-                    for iri, reason, _ in (root for roots in parked.values() for root in roots):
-                        take(iri, reason, DerefResult(iri=iri, status=DerefStatus.SKIPPED, detail="deadline exhausted"))
-                    break
-                for fut in done:
-                    for iri, reason, chase in parked.pop(in_flight.pop(fut)):
-                        step(iri, reason, chase, fut.result())
-        finally:
+            if not parked:
+                break
+            try:
+                hop = wait(done, timeout=max(0.0, manager.deadline - clk.now()))
+            except Empty:  # the deadline passed: a hop cancelled unstarted was never looked up
+                manager.lookups_used -= sum(fut.cancel() for fut, _ in parked.values())
+                for iri, reason, chase in (root for _, roots in parked.values() for root in roots):
+                    step(iri, reason, chase, None)  # sent no outcome, the chase skips its root
+                break
+            fut, roots = parked.pop(hop)
+            for iri, reason, chase in roots:
+                step(iri, reason, chase, fut.result())
+    finally:
+        if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
     final = store.finalize()
@@ -637,9 +633,9 @@ def execute(
         time_s=clk.now() - t0,
         first_s=first_s,
         http_lookups=manager.lookups_used,
-        retrieved_triples=retrieved,
+        retrieved_triples=sum(ev.triples for ev in events if ev.status == DerefStatus.OK),
         inferred_triples=final.inferred_count,
-        truncated=truncated,
+        truncated=any(ev.status in (DerefStatus.SKIPPED, DerefStatus.TIMED_OUT) for ev in events),  # a limit fired
     )
     return QueryRun(
         query=query,

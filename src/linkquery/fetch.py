@@ -536,8 +536,8 @@ class DereferenceManager:
             outcome = self.request(hop)
 
     def chase(self, root: Iri) -> Generator[str, RawResponse | None, DerefResult]:
-        """Yield each hop of ``root`` whose outcome is unknown, to be sent it (the ``RawResponse``
-        of ``request``), and return the result.  Budget is reserved on a hop's first yield."""
+        """Yield each hop of ``root`` whose outcome is unknown, to be sent it (the ``RawResponse`` of
+        ``request``, or None past the deadline), and return the result.  Budget is reserved on a hop's first yield."""
         t_start = self._clock.now()
         here = root  # the checked IRI of the current hop
         current = root.value  # and its text, which scopes the document's blank nodes
@@ -563,7 +563,10 @@ class DereferenceManager:
                 self._outcomes[current] = None
             resp = self._outcomes[current]
             if resp is None:
-                resp = self._outcomes[current] = yield current
+                resp = yield current
+                if resp is None:  # the driver gave up on the hop at the deadline
+                    return done(DerefStatus.SKIPPED, detail="deadline exhausted")
+                self._outcomes[current] = resp
             hops += 1
             if resp.status == OVERRAN:
                 return done(DerefStatus.TIMED_OUT, detail=current)

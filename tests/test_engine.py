@@ -28,7 +28,7 @@ from linkquery.fetch import (
     RecordResolver,
     ReplayResolver,
 )
-from linkquery.fixturegen import WebSpec, generate_web, naive_join
+from linkquery.fixturegen import WebSpec, generate_web, naive_join, oracle_eval
 from linkquery.query import BgpQuery, TriplePattern, Variable, binding_text, parse_query
 from linkquery.rdf import Iri, Literal, Triple
 from linkquery.reasoner import canonical_triple
@@ -245,6 +245,7 @@ class _ReferenceEvaluator:
 
     def __init__(self, patterns):
         self.plan = plan_order(patterns)
+        self.order = [patterns.index(p) for p in self.plan]  # each level's place in ``patterns``
         self.held = set()
         self.seen = set()
 
@@ -327,15 +328,14 @@ def test_hash_join_agrees_with_nested_loop_reference_under_add_retract_replan():
                 ref.held -= set(gone)
                 got, want = [], ref.new_values()
             else:
-                # as after a query constant moved: a new plan over the held triples
+                # as after a query constant moved: the plan's patterns, in its
+                # first order, over the held triples
                 pats = [
                     TriplePattern(*(rng.choice(ents) if isinstance(t, Iri) and t in ents else t for t in p.terms()))
                     for p in pats
                 ]
-                held, seen = ref.held, ref.seen
-                ref = _ReferenceEvaluator(pats)
-                ref.held, ref.seen = held, seen
-                got, want = ev.replan(pats, sorted(held, key=repr)).values, ref.new_values()
+                ref.plan = tuple(pats[i] for i in ref.order)
+                got, want = ev.replan(pats, sorted(ref.held, key=repr)).values, ref.new_values()
             where = f"case {case} step {step}: {pats}"
             assert set(got) == want and len(got) == len(want), where
             assert {binding_text(s) for s in ev.solutions()} == ref.solutions(), where
@@ -587,9 +587,9 @@ def test_sameas_links_merge_and_canonicalize(sameas_web):
 @pytest.mark.parametrize("other", ["m", "0m"])
 def test_query_constant_merged_mid_run(write_web, monkeypatch, other):
     # The constant 'zent' is owl:sameAs 'aent', which sorts first, so the
-    # query constant itself moves mid-run.  With 'm' the plan order flips
-    # (the 'aent' pattern now comes first); with '0m' only its second level
-    # changes.
+    # query constant itself moves mid-run.  With 'm' a plan ordered by the
+    # moved patterns' text would flip (the 'aent' pattern would come first);
+    # with '0m' only its second level would change.
     owl = "<http://www.w3.org/2002/07/owl#sameAs>"
     manifest = write_web(
         {
@@ -698,6 +698,37 @@ def test_sameas_with_alias_as_representative(write_web):
     run = execute(q(SAMEAS_Q), Setup.SAMEAS, FixtureResolver(manifest))
     assert run.answer_keys() == {binding_text({"o": I("v")})}
     assert run.equiv.rep(I("e")) == I("0alias")
+
+
+@pytest.mark.parametrize(
+    "setup, options",
+    [(Setup.COMBINED, EngineOptions()), (Setup.SAMEAS, EngineOptions(extensions_on_select=True))],
+    ids=["combined", "sameas-on-select"],
+)
+@pytest.mark.parametrize("first", ["A", "B"], ids=["A-pattern-first", "B-pattern-first"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+def test_a_merge_that_moves_a_query_constant_keeps_the_plan_order(write_web, setup, options, first, pooled):
+    # 'B' is owl:sameAs '0B', which sorts before 'A': ordered by the moved
+    # patterns' text, the plan would put B's pattern first, while only A's
+    # pattern, at level 0, binds x1 before x1's document is fetched.  On the
+    # pool, B's document arrives first, so the merge comes before A's.
+    docs = {
+        "A": Triple(I("x1"), I("p"), I("A")),
+        "B": Triple(I("B"), rdf.OWL_SAMEAS, I("0B")),
+        "x1": Triple(I("x1"), I("p"), I("B")),
+    }
+    delays = {"A": "DELAY 100 THEN ", "B": "DELAY 0 THEN "} if pooled else {}
+    manifest = write_web({NS + name: f"!{delays.get(name, '')}FILE {name}.nt" for name in docs})
+    for name, triple in docs.items():
+        (manifest.parent / f"{name}.nt").write_text(nt(map(rdf.term_to_text, triple.terms())), encoding="utf-8")
+    patterns = {name: f"?x {iri('p')} {iri(name)} ." for name in "AB"}
+    query = q(f"SELECT ?x WHERE {{ {patterns[first]} {patterns['B' if first == 'A' else 'A']} }}")
+    resolver = FixtureResolver(manifest)
+    assert resolver.may_block is pooled
+    run = execute(query, setup, resolver, options=options)
+    assert oracle_eval(docs.values(), query, use_sameas=True) == {binding_text({"x": I("x1")})}
+    assert run.answer_keys() == {binding_text({"x": I("x1")})}
+    assert run.metrics.truncated is False
 
 
 @pytest.fixture
@@ -990,6 +1021,24 @@ def _outcome(run):
     )
 
 
+def test_pooled_events_come_in_the_order_the_hops_completed(suite_web):
+    # One worker completes the hops in the order they were requested, which
+    # is the order the calling thread serves them in; with no REDIRECT in the
+    # web, each root is one hop, so the two ways list the same events.
+    rows = [line.split("\t", 1) for line in suite_web.manifest_path.read_text(encoding="utf-8").splitlines()]
+    assert not any(directive.startswith("REDIRECT") for _, directive in rows)
+    path = suite_web.out_dir / "manifest-delay0.tsv"
+    path.write_text("".join(f"{iri}\tDELAY 0 THEN {directive}\n" for iri, directive in rows), encoding="utf-8")
+    pooled, inline = FixtureResolver(path), FixtureResolver(suite_web.manifest_path)
+    assert pooled.may_block and not inline.may_block
+    for query, setup in _suite_jobs(suite_web):
+        events = [
+            [(e.iri, e.reason, e.status) for e in execute(query, setup, resolver, config=FetchConfig(max_parallel=1)).events]
+            for resolver in (pooled, inline)
+        ]
+        assert events[0] == events[1], (query, setup)
+
+
 def _cold_outcome(query, setup, web):
     fetch.forget_parses()
     return _outcome(execute(query, setup, FixtureResolver(web.manifest_path)))
@@ -1075,9 +1124,10 @@ def lazy_pool(data):
     """Doubles for ``engine.ThreadPoolExecutor`` and ``engine.wait``.
 
     A submitted hop runs on the calling thread only when ``wait`` completes
-    it, one hop per call, picked among those out by ``data.draw``.
+    it, one hop per call, picked among those out by ``data.draw``; ``wait``
+    then takes the hop off the queue of completed hops.
     """
-    out = {}
+    out = []
 
     class Pool:
         def __init__(self, max_workers):
@@ -1085,17 +1135,16 @@ def lazy_pool(data):
 
         def submit(self, fn, *args):
             fut = Future()
-            out[fut] = (fn, args)
+            out.append((fut, fn, args))
             return fut
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    def wait(futures, timeout=None, return_when=None):
-        fut = futures[data.draw(st.integers(0, len(futures) - 1))]
-        fn, args = out.pop(fut)
+    def wait(done, timeout):
+        fut, fn, args = out.pop(data.draw(st.integers(0, len(out) - 1)))
         fut.set_result(fn(*args))
-        return {fut}, set(futures) - {fut}
+        return done.get_nowait()
 
     return Pool, wait
 
