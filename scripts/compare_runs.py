@@ -23,7 +23,17 @@ the documents of each two consecutive manifest IRIs are joined into one,
 served at ``<first IRI>/doc``, and both IRIs redirect to it, so roots share
 redirect targets.  The script prints how many runs had two roots reach one.
 
-The parse stage comes first.  OLD_ROOT also writes a parse corpus once:
+The manifest stage comes first.  OLD_ROOT also writes a manifest corpus
+once: ``CORPUS_MANIFESTS`` seeded manifests of 1 to 12 lines, put together
+from IRIs, keywords in several cases, relative, absolute and drive paths,
+the arguments of every directive and of the wrong one, Unicode and ASCII
+whitespace around each field, comments, blank lines, rows without a tab,
+and ``\n`` and ``\r\n`` line ends.  Each root builds a ``FixtureResolver``
+for every manifest of the webs (the ``-delay0`` and ``-redirect`` copies
+included) and of the corpus; the stage compares each one's actions and
+``may_block``, or its error text.
+
+The parse stage follows.  OLD_ROOT also writes a parse corpus once:
 ``CORPUS_LINES`` seeded lines put together from N-Triples term fragments,
 good and bad escapes, language tags, datatypes, term boundaries and stray
 characters; ``CORPUS_DOCS`` documents of 20 to 60 lines, nearly all of them
@@ -35,7 +45,7 @@ parses every corpus entry and every ``.nt`` document of the webs with
 ``parse_ntriples``; the stage compares each entry's triples (term text plus
 blank-node scope) and the line number and reason of each of its errors.
 
-The run stage follows.  For each (web, query, setup) run it compares the
+The run stage comes next.  For each (web, query, setup) run it compares the
 answer keys, the four counts (Results, HTTP, Retrieved, Inferred),
 ``truncated``, the retrieved IRIs, the reason each IRI was requested for,
 and digests of ``FinalState.data`` and ``FinalState.inferred``.  For a run
@@ -50,14 +60,18 @@ earlier run on the resolver.  The warm stage compares NEW_ROOT's second
 pass, field by field as above, with its own first pass and with OLD_ROOT's
 second pass.
 
-The order stage comes last.  NEW_ROOT runs the ``-delay0`` copy of each
-chain web once more with ``FetchConfig(max_parallel=1)``; the copies of the
-``-redirect`` webs are left out, since roots that share a redirect target
-may take their events in another order.  One worker completes the hops in
+The order stage comes last.  NEW_ROOT runs each ``-delay0`` copy, of the
+chain webs and of their ``-redirect`` copies, once more with
+``FetchConfig(max_parallel=1)``.  A run lists its events in the order their
+roots were taken from the frontier, and one worker completes the hops in
 the order they were requested, so the stage compares each of these runs'
 ordered fetch events with NEW_ROOT's own inline run of the same web, query
-and setup.  OLD_ROOT's runs are not compared there: an older engine may feed
-the hops that complete between two waits in another order.
+and setup.  Roots that share a redirect target may have their documents
+processed in another order on the pool, but they share one body, so the
+later of them adds nothing and the frontier grows as inline.  OLD_ROOT's
+runs are not compared there: an older engine may list a root skipped under
+the budget, or the roots of hops that complete between two waits, in
+another order.
 
 Each stage prints the first difference and exits 1; the script exits 0 when
 every parse and every run matched.
@@ -84,6 +98,8 @@ CORPUS_DOCS = 3_000
 DOC_LINES = (20, 60)
 CORPUS_BYTES = 10_000
 CORPUS_SEED = 20140225
+CORPUS_MANIFESTS = 3_000
+MANIFEST_FIELDS = ("actions", "may_block", "error")
 
 # Fragments the corpus lines are put together from, each as a pair of
 # (well-formed, near misses), so that both sides of every rule of the term
@@ -120,6 +136,30 @@ TERM_WEIGHTS = ((60, 35, 5), (95, 3, 2), (40, 20, 40))
 DOC_IRIS = (tuple(i for i in IRIS[0] if not i.startswith("<\\")), ("<http://a/\\u003E>", "<http://a/\\u007B>"))
 DOC_GAPS = (" ", "\t", "  ")
 DOC_TAILS = ("", "\n", "\n", "\r\n", "\n\n", "\n \n")
+# Fragments of the manifest corpus.  Its lines end in \n or \r\n, and no
+# fragment holds a character that str.splitlines ends a line at, so that a
+# manifest reader that splits lines only at \n reads these manifests as one
+# that splits at every line boundary does.  The pads are whitespace to
+# str.strip and str.split, Unicode spaces included.
+MANIFEST_PADS = ("", "", "", " ", "  ", "\t", "\u00a0", "\u3000", "\u2003")
+MANIFEST_IRIS = ("http://m.example/a", "http://m.example/b", "http://m.example/c/", "urn:d", "", "#e", "a#b",
+                 "http://m.example/\u00e9")
+MANIFEST_GAPS = (" ", " ", " ", "  ", "\t", "\u00a0", "\u3000")
+MANIFEST_PATHS = ("doc.nt", "sub/d.nt", "../up.nt", "/abs/d.nt", "C:d.nt", "\\d.nt", "a b.nt", "#d.nt", "d\u00e9.nt",
+                  "./d.nt")
+# Each keyword in the spellings the reader accepts, with arguments it accepts.
+MANIFEST_DIRECTIVES = {
+    ("FILE", "file", "File", "fILE", "\ufb01le"): MANIFEST_PATHS,
+    ("REDIRECT", "redirect"): ("http://m.example/b", "/rel", "http://m.example/a b"),
+    ("STATUS", "status"): ("200", "410", "503", "+301", "0404"),
+    ("DELAY", "Delay"): ("5 THEN FILE doc.nt", "0 then status 410", "1\tTHEN\u00a0REDIRECT http://m.example/a",
+                         "5 THEN FILE /abs.nt", "007 THEN FILE  sub/d.nt"),
+}
+MANIFEST_BAD = (("BOGUS", "FILEX", "", "STATUS", "DELAY", "FILE", "REDIRECT"),
+                ("", "99", "600", "abc", "-1", "-1 THEN FILE doc.nt", "x THEN FILE doc.nt",
+                 "5 THEN DELAY 1 THEN STATUS 200", "5 THEN", "5", "5 THEN BOGUS x", "doc.nt"))
+MANIFEST_SPECIALS = ("", "   ", "# comment", "  # c", "\u00a0# c", "\t# c", "#\tFILE doc.nt", "no tab here",
+                     "\tFILE doc.nt", " \tFILE doc.nt")
 
 
 def seed_range(text: str) -> list[int]:
@@ -239,6 +279,52 @@ def write_corpus(path: Path) -> None:
     path.write_text(json.dumps([e.decode("latin-1") for e in entries]), encoding="utf-8")
 
 
+def manifest_line(rng: random.Random) -> str:
+    """A manifest row, now and then a comment, a blank line or a malformed row."""
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice(MANIFEST_SPECIALS)
+    iri, gap, pads = rng.choice(MANIFEST_IRIS), rng.choice(MANIFEST_GAPS), [rng.choice(MANIFEST_PADS) for _ in range(4)]
+    if kind < 0.55:  # the row of a generated web, give or take its spacing and its path
+        return f"{iri}\tFILE{gap}{rng.choice(MANIFEST_PATHS)}{pads[0]}"
+    separator = "\t"
+    if kind < 0.93:
+        keywords, args = rng.choice(list(MANIFEST_DIRECTIVES.items()))
+        directive = f"{rng.choice(keywords)}{gap}{rng.choice(args)}"
+    else:  # malformed, mostly
+        keywords, args = MANIFEST_BAD
+        separator = rng.choice(("\t", "\t", " ", "\t\t", ""))
+        directive = f"{rng.choice(keywords)}{rng.choice(MANIFEST_GAPS + ('',))}{rng.choice(args)}"
+    return f"{pads[0]}{iri}{pads[1]}{separator}{pads[2]}{directive}{pads[3]}"
+
+
+def write_manifest_corpus(folder: Path) -> None:
+    """Seeded fuzzed manifests of 1 to 12 lines, in ``folder``."""
+    rng = random.Random(CORPUS_SEED)
+    folder.mkdir()
+    for n in range(CORPUS_MANIFESTS):
+        lines = [manifest_line(rng) for _ in range(rng.randint(1, 12))]
+        ends = [rng.choice(("\n", "\n", "\r\n")) for _ in lines]
+        if rng.random() < 0.2:
+            ends[-1] = ""
+        (folder / f"m{n:05d}.tsv").write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
+
+
+def read_all_manifests(workdir: Path, webs: list[dict], out) -> None:
+    from linkquery.fetch import FixtureResolver
+
+    manifests = [(web["name"], Path(web["manifest"])) for web in webs]
+    manifests += [(path.stem, path) for path in sorted((workdir / "manifests").iterdir())]
+    for name, path in manifests:
+        try:
+            resolver = FixtureResolver(path)
+        except ValueError as e:
+            record = {"actions": None, "may_block": None, "error": str(e)}
+        else:
+            record = {"actions": list(resolver._actions.items()), "may_block": resolver.may_block, "error": None}
+        out.write(json.dumps({"run": [name], **record}) + "\n")
+
+
 def parse_all(workdir: Path, webs: list[dict], out) -> None:
     from linkquery.rdf import parse_ntriples
 
@@ -302,8 +388,11 @@ def worker(argv: list[str]) -> int:
         webs = generate_fixture_webs(seed_range(argv[3]), workdir)
         (workdir / "webs.json").write_text(json.dumps(webs), encoding="utf-8")
         write_corpus(workdir / "corpus.json")
+        write_manifest_corpus(workdir / "manifests")
     else:
         webs = json.loads((workdir / "webs.json").read_text(encoding="utf-8"))
+        with open(workdir / f"manifests-{mode}.jsonl", "w", encoding="utf-8") as out:
+            read_all_manifests(workdir, webs, out)
         with open(workdir / f"parses-{mode}.jsonl", "w", encoding="utf-8") as out:
             parse_all(workdir, webs, out)
         with (open(workdir / f"runs-{mode}.jsonl", "w", encoding="utf-8") as out,
@@ -365,9 +454,8 @@ def add_chain_webs(seed: int, workdir: Path) -> list[dict]:
         copy, redirects = redirected(out / "manifest.tsv")
         via = {**web, "name": f"{web['name']}-redirect", "manifest": str(copy), "redirects": redirects}
         for w in (web, via):
-            pooled = {**w, "name": f"{w['name']}-delay0", "manifest": str(delayed(Path(w["manifest"])))}
-            if w is web:  # the redirect copy's roots share hops, so its order may differ
-                pooled["ordered_as"] = web["name"]
+            pooled = {**w, "name": f"{w['name']}-delay0", "manifest": str(delayed(Path(w["manifest"]))),
+                      "ordered_as": w["name"]}
             webs += [w, pooled]
     return webs
 
@@ -434,7 +522,8 @@ def main(argv: list[str] | None = None) -> int:
         wait_ok(in_root(roots[0], "old", str(workdir)), in_root(roots[1], "new", str(workdir)))
         old, new, old_warm, new_warm = (workdir / f"runs-{name}.jsonl"
                                         for name in ("old", "new", "old-warm", "new-warm"))
-        failed = (compare(workdir / "parses-old.jsonl", workdir / "parses-new.jsonl", PARSE_FIELDS, "parses")
+        failed = (compare(workdir / "manifests-old.jsonl", workdir / "manifests-new.jsonl", MANIFEST_FIELDS, "manifests")
+                  or compare(workdir / "parses-old.jsonl", workdir / "parses-new.jsonl", PARSE_FIELDS, "parses")
                   or compare(old, new, FIELDS, "runs")
                   or compare(new, new_warm, FIELDS, "warm runs (against the first pass)")
                   or compare(old_warm, new_warm, FIELDS, "warm runs (against OLD_ROOT's)")

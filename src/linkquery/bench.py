@@ -24,6 +24,7 @@ from typing import Iterable, Sequence, TextIO
 from .engine import ALL_SETUPS, EngineOptions, QueryRun, Setup, execute
 from .fetch import FetchConfig, Resolver, forget_parses
 from .query import BgpQuery, parse_query
+from .rdf import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +50,7 @@ class SuiteEntry:
 def load_suite(path: str | Path) -> list[SuiteEntry]:
     """Read a suite file: one query per line, 'id<TAB>class<TAB>query text'."""
     entries: list[SuiteEntry] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t", 2)

@@ -46,7 +46,11 @@ at a time in request order; a thread would only add interpreter-lock
 handoffs.  A resolver that can wait (live HTTP, a fixture web with ``DELAY``,
 or one that does not say) has its hops, and only them, performed on a pool
 of ``max_parallel`` workers so that their waits overlap; one driver loop
-takes them back in the order they complete.
+takes them back, and processes their documents, in the order they complete.
+Either way a run lists one event per root, in the order the roots were
+taken from the frontier, so one worker on a web without ``REDIRECT`` lists
+the events of the calling thread, a root skipped under the lookup budget
+included.
 
 The deadline bounds the run's wall time.  On the pool, once it passes, each
 waiting root's own chase ends it as skipped, the run is flagged truncated,
@@ -447,7 +451,7 @@ def execute(
 
     requested: set[Iri] = set()
     pending: deque[tuple[Iri, str]] = deque()
-    events: list[FetchEvent] = []
+    events: list[FetchEvent | None] = []  # one slot per root, in the order the roots left ``pending``
     raw_order: list[Triple] = []
     relevant: set[Term] = set()                # canonical forms of query-relevant IRIs
     seealso_waiting: dict[Term, list[Iri]] = {}  # targets by canonical subject, until relevant
@@ -564,60 +568,59 @@ def execute(
                 relevant.add(canon)
                 follow_links(canon)
 
-    def take(iri: Iri, reason: str, res: DerefResult) -> None:
-        """Record a hop's outcome and process its document."""
-        events.append(
-            FetchEvent(
-                iri=iri,
-                reason=reason,
-                status=res.status,
-                http_status=res.http_status,
-                triples=len(res.document.triples) if res.document else 0,
-                t_s=clk.now() - t0,
-                elapsed_s=res.elapsed_s,
-            )
+    def take(slot: int, iri: Iri, reason: str, res: DerefResult) -> None:
+        """Record a root's outcome in its event slot and process its document."""
+        events[slot] = FetchEvent(
+            iri=iri,
+            reason=reason,
+            status=res.status,
+            http_status=res.http_status,
+            triples=len(res.document.triples) if res.document else 0,
+            t_s=clk.now() - t0,
+            elapsed_s=res.elapsed_s,
         )
         if res.status == DerefStatus.OK and res.document is not None:
             process_doc(res.document)
 
     # Not a ``with`` block: joining the pool would wait out fetches past the deadline.
     pool = ThreadPoolExecutor(max_workers=cfg.max_parallel) if getattr(resolver, "may_block", True) else None
-    parked: dict[str, tuple[Future, list[tuple[Iri, str, Generator]]]] = {}  # hop out -> its future, waiting chases
+    parked: dict[str, tuple[Future, list[tuple[int, Iri, str, Generator]]]] = {}  # hop out -> its future, waiting roots
     done: SimpleQueue[str] = SimpleQueue()  # hops out, put here as they complete
 
-    def step(iri: Iri, reason: str, chase: Generator, outcome: object) -> None:
+    def step(slot: int, iri: Iri, reason: str, chase: Generator, outcome: object) -> None:
         """Send a root's chase a hop outcome; park it on its next hop, or take its result."""
         try:
             hop = chase.send(outcome)
         except StopIteration as stop:
-            take(iri, reason, stop.value)
+            take(slot, iri, reason, stop.value)
             return
         if hop not in parked:
             fut = pool.submit(manager.request, hop)
             fut.add_done_callback(lambda _: done.put(hop))
             parked[hop] = (fut, [])
-        parked[hop][1].append((iri, reason, chase))
+        parked[hop][1].append((slot, iri, reason, chase))
 
     try:
         while True:
             while pending:
                 iri, reason = pending.popleft()
+                events.append(None)
                 if pool is None:  # the manager skips every hop started after the deadline
-                    take(iri, reason, manager.dereference(iri))
+                    take(len(events) - 1, iri, reason, manager.dereference(iri))
                 else:
-                    step(iri, reason, manager.chase(iri), None)
+                    step(len(events) - 1, iri, reason, manager.chase(iri), None)
             if not parked:
                 break
             try:
                 hop = wait(done, timeout=max(0.0, manager.deadline - clk.now()))
             except Empty:  # the deadline passed: a hop cancelled unstarted was never looked up
                 manager.lookups_used -= sum(fut.cancel() for fut, _ in parked.values())
-                for iri, reason, chase in (root for _, roots in parked.values() for root in roots):
-                    step(iri, reason, chase, None)  # sent no outcome, the chase skips its root
+                for slot, iri, reason, chase in (root for _, roots in parked.values() for root in roots):
+                    step(slot, iri, reason, chase, None)  # sent no outcome, the chase skips its root
                 break
             fut, roots = parked.pop(hop)
-            for iri, reason, chase in roots:
-                step(iri, reason, chase, fut.result())
+            for slot, iri, reason, chase in roots:
+                step(slot, iri, reason, chase, fut.result())
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)

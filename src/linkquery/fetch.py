@@ -3,10 +3,15 @@
 A resolver performs exactly one HTTP-ish hop for an IRI and never follows
 redirects itself; ``DereferenceManager`` drives the hop loop and owns every
 cross-cutting policy (lookup budget, wall-clock deadline, per-host
-politeness).  It decides everything on the thread that drives it, and looks
-each hop IRI up at most once per run; only ``request``, which performs one
-hop, may run on a pool worker.  ``timeout_ms`` bounds that request, never
-how long a root waits for a hop another root asked for first.
+politeness).  It decides the budget, the deadline and redirects on the
+thread that drives it, and looks each hop IRI up at most once per run; only
+``request``, which performs one hop, may run on a pool worker.  Politeness
+is decided there, in ``request``: for a remote host, the worker holds that
+host's lock over the hop, and sleeps under it until ``politeness_delay_ms``
+has passed since the host's last hop started, so one host has one hop out
+at a time and its hops start at least the delay apart.  ``timeout_ms``
+bounds the hop itself, not that wait, and never how long a root waits for a
+hop another root asked for first.
 
 ``parse_ntriples`` owns the parse state of the process.  Its one
 least-recently-used cache of parses is keyed by a body's exact bytes and
@@ -185,7 +190,7 @@ class FixtureResolver:
     Each line maps an IRI to a directive: ``FILE relative/path.nt``,
     ``REDIRECT <iri>``, ``STATUS <code>``, or ``DELAY <ms> THEN <directive>``.
     IRIs absent from the manifest 404.  It may block exactly when some line
-    is a ``DELAY``.
+    is a ``DELAY``.  Lines end at ``\n`` only, as a document's do.
     """
 
     is_local = True
@@ -198,14 +203,21 @@ class FixtureResolver:
         self._actions: dict[str, _Action] = {}
         self._may_block = False
         base = os.fspath(path.parent)
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        prefix = os.path.join(base, "")  # joins a relative path by concatenation
+        # Split at \n only, as documents are; a \r before it is whitespace, which each field's strip drops.
+        for lineno, line in enumerate(path.read_bytes().decode("utf-8").split("\n"), start=1):
+            # The row of every generated web, 'IRI<TAB>FILE rel/path', read without a directive parse; any
+            # other row (a comment, another keyword or spelling, an absolute or drive path) takes the general way.
+            iri, tab, directive = line.partition("\t")
+            key, rel = iri.strip(), directive[5:].strip()
+            if directive[:5] == "FILE " and key[:1] != "#" and rel and rel[0] not in "/\\" and rel[1:2] != ":":
+                self._actions[key] = ("file", prefix + rel)
+                continue
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            try:
-                iri, directive = line.split("\t", 1)
-            except ValueError:
-                raise ValueError(f"manifest line {lineno}: expected '<iri>\\t<directive>'") from None
-            action = self._actions[iri.strip()] = _parse_directive(directive.strip(), base, lineno)
+            if not tab:
+                raise ValueError(f"manifest line {lineno}: expected '<iri>\\t<directive>'")
+            action = self._actions[key] = _parse_directive(directive.strip(), base, lineno)
             self._may_block |= action[0] == "delay"
 
     @property

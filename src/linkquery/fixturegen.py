@@ -56,6 +56,7 @@ from .rdf import (
     Term,
     Triple,
     parse_ntriples,
+    read_lines,
     serialize_ntriples,
     term_to_text,
 )
@@ -671,14 +672,14 @@ def load_fixture_documents(web_dir: str | Path) -> dict[str, list[Triple]]:
     """Parse every FILE entry of a fixture manifest, keyed by document IRI."""
     web = Path(web_dir)
     docs: dict[str, list[Triple]] = {}
-    for line in (web / "manifest.tsv").read_text(encoding="utf-8").splitlines():
+    for line in read_lines(web / "manifest.tsv"):
         if not line.strip() or line.startswith("#"):
             continue
         iri, directive = line.split("\t", 1)
         parts = directive.split(None, 1)
         if parts[0].upper() != "FILE":
             continue
-        triples, errors = parse_ntriples((web / parts[1]).read_text(encoding="utf-8"), doc_scope=iri)
+        triples, errors = parse_ntriples((web / parts[1]).read_bytes(), doc_scope=iri)  # as the resolver serves it
         if errors:
             raise ValueError(f"{parts[1]}: {len(errors)} parse errors")
         docs[iri] = triples
@@ -688,7 +689,7 @@ def load_fixture_documents(web_dir: str | Path) -> dict[str, list[Triple]]:
 def load_ground_truth(path: str | Path) -> dict[tuple[str, str], frozenset[str]]:
     """Read answer keys back; (query_id, setup) pairs with no row are empty."""
     acc: dict[tuple[str, str], set[str]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path):
         if not line.strip():
             continue
         parts = line.split("\t")

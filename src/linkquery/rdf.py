@@ -404,3 +404,14 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
         lines.append(" ".join(parts) + " .")
     return "\n".join(lines) + ("\n" if lines else "")
 
+
+
+def read_lines(path) -> list[str]:
+    """A UTF-8 text file's lines, split as a document's are: at ``\\n`` only, each without a final ``\\r``.
+
+    The suite and ground-truth readers take their lines from it, so that any IRI a document may
+    hold, one with U+0085 or U+2028 say, can also be written on one of their lines.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    return [line[:-1] if line[-1:] == "\r" else line for line in text.split("\n")]

@@ -226,6 +226,16 @@ def test_load_suite_and_run(tmp_path, write_web):
     assert [(r.setup, r.results) for r in records] == [(Setup.BASE, 1), (Setup.SELECT, 1)]
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u0085"])
+def test_a_suite_line_ends_at_a_newline_only(tmp_path, char):
+    # The IRI a document may name can be a query constant too.
+    iri = f"http://t.example/x{char}y"
+    suite = tmp_path / "suite.tsv"
+    suite.write_text(f"q01\tentity-s\tSELECT ?o WHERE {{ <{iri}> <http://t.example/p> ?o . }}\r\n", encoding="utf-8")
+    [entry] = load_suite(suite)
+    assert entry.query_id == "q01" and entry.query.patterns[0].subject == iri
+
+
 def test_load_suite_rejects_malformed_lines(tmp_path):
     suite = tmp_path / "suite.tsv"
     suite.write_text("q01 entity-s no tabs here\n", encoding="utf-8")

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -952,6 +953,38 @@ def test_deadline_bounds_wall_time_on_the_calling_thread():
     assert statuses == [DerefStatus.OK] * served + [DerefStatus.SKIPPED] * (10 - served)
 
 
+def test_politeness_on_the_pool_serves_one_hop_per_host_at_a_time():
+    # The seed links three documents on each of two hosts; four workers could take all six at once.
+    delay = 0.03
+    seed = "http://s.example/seed"
+    links = [f"http://{host}.example/{k}" for host in ("a", "b") for k in range(3)]
+    body = "".join(f"<{seed}> <{NS}p1> <{link}> .\n" for link in links).encode()
+    hops = []
+
+    class TwoHosts:
+        is_local = False
+        may_block = True
+
+        def resolve(self, hop, timeout_s):
+            start = time.monotonic()
+            time.sleep(0.005)
+            hops.append((urlsplit(hop).netloc, start, time.monotonic()))
+            return RawResponse(200, body=body if hop == seed else b"")
+
+    run = execute(q(f"SELECT ?x WHERE {{ <{seed}> {iri('p1')} ?x . }}"), Setup.BASE, TwoHosts(),
+                  config=FetchConfig(max_parallel=4, politeness_delay_ms=int(delay * 1000)))
+    assert run.metrics.http_lookups == len(hops) == 7 and not run.metrics.truncated
+    # The manager stamps a host's hop just before the stub does, and a switch
+    # of the interpreter lock (5 ms at most by default) may fall between the two.
+    slack = 0.005
+    for host in ("a.example", "b.example"):
+        spans = sorted((start, end) for netloc, start, end in hops if netloc == host)
+        assert len(spans) == 3
+        for (start, end), (next_start, _) in zip(spans, spans[1:]):
+            assert end <= next_start, "hops to one host never overlap"
+            assert next_start - start >= delay - slack, "and start at least the delay apart"
+
+
 def test_first_solution_timestamp_only_when_answers_exist(chain_web, seealso_web):
     with_answers = execute(q(CHAIN_Q), Setup.BASE, FixtureResolver(chain_web))
     assert with_answers.metrics.first_s is not None
@@ -1021,22 +1054,42 @@ def _outcome(run):
     )
 
 
+def _pooled_and_inline(web):
+    """The web's resolver behind DELAY 0, whose hops go to the pool, and its own."""
+    rows = [line.split("\t", 1) for line in web.manifest_path.read_text(encoding="utf-8").splitlines()]
+    assert not any(directive.startswith("REDIRECT") for _, directive in rows)
+    path = web.out_dir / "manifest-delay0.tsv"
+    path.write_text("".join(f"{iri}\tDELAY 0 THEN {directive}\n" for iri, directive in rows), encoding="utf-8")
+    pooled, inline = FixtureResolver(path), FixtureResolver(web.manifest_path)
+    assert pooled.may_block and not inline.may_block
+    return pooled, inline
+
+
 def test_pooled_events_come_in_the_order_the_hops_completed(suite_web):
     # One worker completes the hops in the order they were requested, which
     # is the order the calling thread serves them in; with no REDIRECT in the
     # web, each root is one hop, so the two ways list the same events.
-    rows = [line.split("\t", 1) for line in suite_web.manifest_path.read_text(encoding="utf-8").splitlines()]
-    assert not any(directive.startswith("REDIRECT") for _, directive in rows)
-    path = suite_web.out_dir / "manifest-delay0.tsv"
-    path.write_text("".join(f"{iri}\tDELAY 0 THEN {directive}\n" for iri, directive in rows), encoding="utf-8")
-    pooled, inline = FixtureResolver(path), FixtureResolver(suite_web.manifest_path)
-    assert pooled.may_block and not inline.may_block
+    pooled, inline = _pooled_and_inline(suite_web)
     for query, setup in _suite_jobs(suite_web):
         events = [
             [(e.iri, e.reason, e.status) for e in execute(query, setup, resolver, config=FetchConfig(max_parallel=1)).events]
             for resolver in (pooled, inline)
         ]
         assert events[0] == events[1], (query, setup)
+
+
+def test_pooled_events_under_a_lookup_budget_come_in_root_order(suite_web):
+    # A root the budget skips is taken while the roots before it are still
+    # out on the pool; its event still comes after theirs, as on the calling thread.
+    pooled, inline = _pooled_and_inline(suite_web)
+    config = FetchConfig(max_parallel=1, max_lookups=6)
+    skipped = 0
+    for query, setup in _suite_jobs(suite_web):
+        runs = [execute(query, setup, resolver, config=config) for resolver in (pooled, inline)]
+        events = [[(e.iri, e.reason, e.status) for e in run.events] for run in runs]
+        assert events[0] == events[1], (query, setup)
+        skipped += any(e.status == DerefStatus.SKIPPED for e in runs[0].events)
+    assert skipped
 
 
 def _cold_outcome(query, setup, web):

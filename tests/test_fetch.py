@@ -128,6 +128,103 @@ def test_fixture_reads_a_large_file_whole(tmp_path):
     assert FixtureResolver(tmp_path).resolve(A, 1.0).body == body
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u0085"])
+def test_a_manifest_line_ends_at_a_newline_only(tmp_path, char):
+    # Both are ordinary characters in a document, so a document may name this IRI.
+    iri = f"http://w.example/x{char}y"
+    (tmp_path / "doc.nt").write_text(f"<{iri}> <http://w.example/p> <http://w.example/o> .\n", encoding="utf-8")
+    (tmp_path / "manifest.tsv").write_text(f"{iri}\tFILE doc.nt\r\n{A}\tSTATUS 410\r", encoding="utf-8")
+    r = FixtureResolver(tmp_path)
+    assert len(r) == 2 and r.resolve(A, 1.0).status == 410
+    got = manager(r).dereference(Iri(iri))
+    assert got.status == DerefStatus.OK and got.document.triples[0].subject == iri
+
+
+def _reference_manifest(text, base):
+    """The manifest reader without its shortcut for FILE rows, lines split at \\n with a \\r before it stripped."""
+    actions, may_block = {}, False
+    lines = [line[:-1] if line[-1:] == "\r" else line for line in text.split("\n")]
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            iri, directive = line.split("\t", 1)
+        except ValueError:
+            raise ValueError(f"manifest line {lineno}: expected '<iri>\\t<directive>'") from None
+        action = actions[iri.strip()] = fetch._parse_directive(directive.strip(), base, lineno)
+        may_block |= action[0] == "delay"
+    return actions, may_block
+
+
+# Whitespace as str.strip and str.split see it, Unicode spaces included, and
+# with them the characters that str.splitlines would end a line at.
+_PAD = st.sampled_from(["", "", "", " ", "  ", "\t", "\u00a0", "\u3000", "\x0b", "\x0c", "\u2028", "\u0085"])
+_GAP = st.sampled_from([" ", " ", " ", "  ", "\t", "\u00a0", "\u3000"])
+_IRI = st.sampled_from(["http://w.example/a", "http://w.example/b", "urn:c", "", "a#b", "#x"])
+_PATH = st.sampled_from(["doc.nt", "sub/d.nt", "../up.nt", "/abs/d.nt", "C:d.nt", "\\d.nt", "a b.nt", "#d"])
+_FILE = st.builds("".join, st.tuples(st.sampled_from(["FILE", "file", "File", "fiLE", "\ufb01le"]), _GAP, _PATH))
+_OTHER = st.sampled_from(["REDIRECT http://w.example/b", "redirect\u3000http://w.example/a", "STATUS 503",
+                          "status\t410", "STATUS 200"])
+_DIRECTIVE = st.one_of(
+    _FILE,
+    _OTHER,
+    st.builds("".join, st.tuples(st.sampled_from(["DELAY 5 THEN ", "delay 0 then ", "DELAY 1\tTHEN\u00a0"]),
+                                 st.one_of(_FILE, _OTHER))),
+)
+_ROW = st.builds("".join, st.tuples(_PAD, _IRI, _PAD, st.just("\t"), _PAD, _DIRECTIVE, _PAD))
+# The row of a generated web, 'IRI<TAB>FILE rel/path', give or take its spacing and its path.
+_FILE_ROW = st.builds("".join, st.tuples(_IRI, st.just("\tFILE"), _GAP, _PATH, _PAD))
+_SKIPPED = st.sampled_from(["", "   ", "\r", "# comment", "  # c", "\u00a0# c", "\t# c", "#\tFILE doc.nt"])
+# A row that is malformed, mostly: no tab or two, a keyword without its argument or with another's, or text.
+_ANY = st.one_of(
+    st.builds("".join, st.tuples(
+        _PAD, _IRI, st.sampled_from(["\t", " ", "\t\t", ""]), _PAD,
+        st.sampled_from(["FILE", "file", "REDIRECT", "STATUS", "DELAY", "BOGUS", "FILEX", ""]),
+        st.sampled_from([" ", "", "\t"]),
+        st.sampled_from(["doc.nt", "200", "99", "abc", "http://w.example/a", "-1 THEN FILE doc.nt",
+                         "5 THEN DELAY 1 THEN STATUS 200", "5", "x THEN FILE d.nt", "5 THEN", ""]),
+        _PAD,
+    )),
+    st.text(alphabet="ab \t#\u00a0\r:/FILE", max_size=12),
+)
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("manifests")
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.tuples(st.one_of(_FILE_ROW, _ROW, _SKIPPED), st.sampled_from(["\n", "\r\n"])), max_size=10),
+    st.one_of(st.none(), st.tuples(st.integers(0, 10), _ANY)),
+    st.booleans(),
+)
+def test_the_manifest_reader_agrees_with_its_general_reading(manifest_dir, lines, odd, last_ended):
+    # A FILE row read by the shortcut gets the action the directive parse gives it, and any other
+    # row, a malformed one included, is read as it always was: the same error on the same line.
+    if odd is not None:
+        lines.insert(odd[0], (odd[1], "\n"))
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_ended:
+        text = text[: -len(lines[-1][1])]
+    path = manifest_dir / "manifest.tsv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            actions, may_block = read()
+        except ValueError as e:
+            return str(e)
+        return list(actions.items()), may_block
+
+    def shortcut():
+        r = FixtureResolver(path)
+        return r._actions, r.may_block
+
+    assert outcome(shortcut) == outcome(lambda: _reference_manifest(text, str(manifest_dir)))
+
+
 # -- dereference statuses -------------------------------------------------------
 
 

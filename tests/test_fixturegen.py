@@ -223,3 +223,16 @@ def test_load_ground_truth_keeps_tabs_inside_keys(tmp_path):
     p.write_text("q01\tbase\t?a=<http://x/1>\t?b=<http://x/2>\n", encoding="utf-8")
     gt = load_ground_truth(p)
     assert gt[("q01", "base")] == frozenset({"?a=<http://x/1>\t?b=<http://x/2>"})
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u0085"])
+def test_ground_truth_and_manifest_lines_end_at_a_newline_only(tmp_path, char):
+    # An answer key names the IRI as a document does, unescaped.
+    iri = f"http://x/1{char}2"
+    p = tmp_path / "gt.tsv"
+    p.write_text(f"q01\tbase\t?a=<{iri}>\r\nq01\tsameas\t?a=<http://x/3>", encoding="utf-8")
+    assert load_ground_truth(p) == {("q01", "base"): frozenset({f"?a=<{iri}>"}),
+                                    ("q01", "sameas"): frozenset({"?a=<http://x/3>"})}
+    (tmp_path / "d.nt").write_text(f"<{iri}> <http://x/p> <http://x/o> .\n", encoding="utf-8")
+    (tmp_path / "manifest.tsv").write_text(f"{iri}\tFILE d.nt\n", encoding="utf-8")
+    assert load_fixture_documents(tmp_path) == {iri: [Triple(Iri(iri), Iri("http://x/p"), Iri("http://x/o"))]}
