@@ -74,9 +74,13 @@ def load_tree(root: Path, name: str, into: Path):
 
 
 def read_answers(path: Path) -> dict[tuple[str, str], frozenset[str]]:
-    """Rows 'query_id<TAB>setup<TAB>answer key'; the key itself holds tabs."""
+    """Rows 'query_id<TAB>setup<TAB>answer key'; the key itself holds tabs.
+
+    Lines end at ``\\n`` only, as ``rdf.read_lines`` reads them, so a key may name an IRI with U+2028.
+    """
     acc: dict[tuple[str, str], set[str]] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in path.read_bytes().decode("utf-8").split("\n"):
+        line = line.removesuffix("\r")
         if line:
             qid, setup, key = line.split("\t", 2)
             acc.setdefault((qid, setup), set()).add(key)

@@ -407,9 +407,15 @@ def worker(argv: list[str]) -> int:
 # --- driver side ------------------------------------------------------------
 
 
+def manifest_rows(manifest: Path) -> list[list[str]]:
+    """A written web's rows, split at their tab; lines end at ``\\n`` only, as ``rdf.read_lines`` reads them."""
+    lines = manifest.read_bytes().decode("utf-8").split("\n")
+    return [line.removesuffix("\r").split("\t", 1) for line in lines if line.removesuffix("\r")]
+
+
 def delayed(manifest: Path) -> Path:
     """A copy of the manifest with every directive behind ``DELAY 0``."""
-    rows = (line.split("\t", 1) for line in manifest.read_text(encoding="utf-8").splitlines())
+    rows = manifest_rows(manifest)
     pooled = manifest.with_suffix(".delay0.tsv")
     pooled.write_text("".join(f"{iri}\tDELAY 0 THEN {directive}\n" for iri, directive in rows), encoding="utf-8")
     return pooled
@@ -422,7 +428,7 @@ def redirected(manifest: Path) -> tuple[Path, dict[str, str]]:
     consecutive IRIs are joined into one, served at the first IRI plus
     ``/doc``, a path no chain web uses.
     """
-    rows = [line.split("\t", 1) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    rows = manifest_rows(manifest)
     folder = manifest.parent / "redirect"
     folder.mkdir(exist_ok=True)
     redirects: dict[str, str] = {}

@@ -472,7 +472,7 @@ def execute(
                 want(member, "sameas")
 
     def mark_relevant(iri: Iri) -> None:
-        canon = store.canonical(iri)
+        canon = store.equiv.rep(iri)
         if canon not in relevant:
             relevant.add(canon)
             follow_links(canon)
@@ -553,14 +553,14 @@ def execute(
         if follows_seealso(setup):
             for t in delta.fresh:
                 if t.predicate == RDFS_SEEALSO and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-                    canon = store.canonical(t.subject)
+                    canon = store.equiv.rep(t.subject)
                     if canon in relevant:
                         want(t.object, "seealso")
                     else:
                         seealso_waiting.setdefault(canon, []).append(t.object)
         for old in delta.retired:
             # The retired IRI's links and relevance pass to its representative.
-            canon = store.canonical(old)
+            canon = store.equiv.rep(old)
             if old in seealso_waiting:
                 seealso_waiting.setdefault(canon, []).extend(seealso_waiting.pop(old))
             if old in relevant or canon in relevant:

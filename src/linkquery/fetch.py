@@ -189,8 +189,10 @@ class FixtureResolver:
 
     Each line maps an IRI to a directive: ``FILE relative/path.nt``,
     ``REDIRECT <iri>``, ``STATUS <code>``, or ``DELAY <ms> THEN <directive>``.
-    IRIs absent from the manifest 404.  It may block exactly when some line
-    is a ``DELAY``.  Lines end at ``\n`` only, as a document's do.
+    IRIs absent from the manifest 404; of two lines for one IRI, the last
+    wins, and iterating lists IRIs in order of first appearance.  It may block
+    exactly when some line is a ``DELAY``.  Lines end at ``\n`` only, as a
+    document's do.
     """
 
     is_local = True
@@ -226,6 +228,9 @@ class FixtureResolver:
 
     def __len__(self) -> int:
         return len(self._actions)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._actions)
 
     def resolve(self, iri: str, timeout_s: float) -> RawResponse:
         action = self._actions.get(iri)

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .engine import ALL_SETUPS, plan_order
+from .fetch import FakeClock, FixtureResolver
 from .query import (
     BgpQuery,
     QueryClass,
@@ -669,20 +670,18 @@ def generate_web(spec: WebSpec, out_dir: str | Path) -> GeneratedWeb:
 
 
 def load_fixture_documents(web_dir: str | Path) -> dict[str, list[Triple]]:
-    """Parse every FILE entry of a fixture manifest, keyed by document IRI."""
-    web = Path(web_dir)
+    """The documents a run is handed on the web: each IRI of its ``FixtureResolver`` whose hop
+    answers 2xx (a ``FILE`` row, bare or behind ``DELAY``, or an empty 2xx ``STATUS``), in manifest
+    order, with blank nodes scoped by that IRI.  An unreadable ``FILE`` raises ``TransportError``."""
+    resolver = FixtureResolver(web_dir, clock=FakeClock())  # a DELAY costs nothing
     docs: dict[str, list[Triple]] = {}
-    for line in read_lines(web / "manifest.tsv"):
-        if not line.strip() or line.startswith("#"):
-            continue
-        iri, directive = line.split("\t", 1)
-        parts = directive.split(None, 1)
-        if parts[0].upper() != "FILE":
-            continue
-        triples, errors = parse_ntriples((web / parts[1]).read_bytes(), doc_scope=iri)  # as the resolver serves it
-        if errors:
-            raise ValueError(f"{parts[1]}: {len(errors)} parse errors")
-        docs[iri] = triples
+    for iri in resolver:
+        resp = resolver.resolve(iri, timeout_s=float("inf"))
+        if 200 <= resp.status < 300:
+            triples, errors = parse_ntriples(resp.body, doc_scope=iri)
+            if errors:
+                raise ValueError(f"{iri}: {len(errors)} parse errors")
+            docs[iri] = triples
     return docs
 
 

@@ -94,10 +94,6 @@ class EquivalenceClasses:
         return frozenset(moved)
 
 
-def canonical_term(term: Term, eq: EquivalenceClasses) -> Term:
-    return eq.rep(term) if isinstance(term, Iri) else term
-
-
 def canonical_triple(t: Triple, eq: EquivalenceClasses) -> Triple:
     if not eq.version:  # nothing merged yet: every IRI is its own representative
         return t
@@ -407,9 +403,6 @@ class ReasoningStore:
     def view(self) -> AbstractSet[Triple]:
         """The live view: canonical forms of the raw triples plus their closure."""
         return self._view
-
-    def canonical(self, term: Term) -> Term:
-        return canonical_term(term, self.equiv)
 
     def rule_counts(self) -> Counter[str]:
         return Counter(self._chainer.rule_counts)

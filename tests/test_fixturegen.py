@@ -1,10 +1,13 @@
 import json
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkquery.bench import load_suite
 from linkquery.engine import Setup, execute
-from linkquery.fetch import FixtureResolver
+from linkquery.fetch import DereferenceManager, DerefStatus, FakeClock, FixtureResolver, TransportError
 from linkquery.fixturegen import (
     SETUP_NAMES,
     FixtureInvariantError,
@@ -20,7 +23,7 @@ from linkquery.fixturegen import (
     sameas_components,
 )
 from linkquery.query import TriplePattern, Variable, classify, parse_query
-from linkquery.rdf import RDF_TYPE, RDFS_SUBCLASSOF, Iri, Triple
+from linkquery.rdf import RDF_TYPE, RDFS_SUBCLASSOF, Iri, Triple, parse_ntriples, read_lines
 
 
 def iri(s: str) -> Iri:
@@ -120,9 +123,14 @@ def test_web_fits_document_budget(web):
     assert 0 < len(web.doc_triples) <= 200
 
 
-def test_web_written_files_parse_back(web):
+def test_web_written_files_parse_back(web, tmp_path):
     docs = load_fixture_documents(web.out_dir)
     assert {iri: frozenset(ts) for iri, ts in docs.items()} == dict(web.doc_triples)
+    # Every row behind DELAY 0, as the pooled copies of a web are: the same documents.
+    pooled = shutil.copytree(web.out_dir, tmp_path / "delay0")
+    rows = [line.split("\t", 1) for line in read_lines(pooled / "manifest.tsv") if line]
+    (pooled / "manifest.tsv").write_text("".join(f"{i}\tDELAY 0 THEN {d}\n" for i, d in rows), encoding="utf-8")
+    assert load_fixture_documents(pooled) == docs
     gt = load_ground_truth(web.out_dir / "ground_truth.tsv")
     for key, keys in web.ground_truth.items():
         assert gt.get(key, frozenset()) == keys
@@ -236,3 +244,96 @@ def test_ground_truth_and_manifest_lines_end_at_a_newline_only(tmp_path, char):
     (tmp_path / "d.nt").write_text(f"<{iri}> <http://x/p> <http://x/o> .\n", encoding="utf-8")
     (tmp_path / "manifest.tsv").write_text(f"{iri}\tFILE d.nt\n", encoding="utf-8")
     assert load_fixture_documents(tmp_path) == {iri: [Triple(Iri(iri), Iri("http://x/p"), Iri("http://x/o"))]}
+
+
+# -- the oracle's documents are a run's ----------------------------------------------
+
+# Blank nodes, so that a document's triples show the IRI that scoped them.
+_D = '_:b <http://a/p> "d" .\n<http://a/s> <http://a/p> _:b .\n'
+_E = '_:c <http://a/p> "e" .\n'
+
+
+@pytest.mark.parametrize(
+    "manifest, served",
+    [
+        ("  # c\nhttp://a/s\tFILE d.nt\n", {"http://a/s": _D}),
+        ("http://a/t\tDELAY 5 THEN FILE e.nt\n", {"http://a/t": _E}),
+        (" http://a/s\tFILE d.nt\n", {"http://a/s": _D}),
+        ("http://a/s\tFILE d.nt \n", {"http://a/s": _D}),
+        ("http://a/r\tREDIRECT http://a/s\nhttp://a/s\tFILE d.nt\n", {"http://a/s": _D}),
+        ("http://a/s\tSTATUS 404\nhttp://a/t\tFILE e.nt\n", {"http://a/t": _E}),
+        ("http://a/s\tSTATUS 200\n", {"http://a/s": ""}),
+        ("http://a/r\tREDIRECT http://a/m\n", {}),
+    ],
+    ids=["indented-comment", "delay", "leading-space", "trailing-space", "redirect", "status-404", "status-200",
+         "missing-iri"],
+)
+def test_the_oracle_reads_a_manifest_as_a_run_does(tmp_path, manifest, served):
+    (tmp_path / "d.nt").write_text(_D, encoding="utf-8")
+    (tmp_path / "e.nt").write_text(_E, encoding="utf-8")
+    (tmp_path / "manifest.tsv").write_text(manifest, encoding="utf-8")
+    assert load_fixture_documents(tmp_path) == {i: parse_ntriples(body, doc_scope=i)[0] for i, body in served.items()}
+
+
+def test_the_oracle_raises_on_what_a_run_cannot_read(tmp_path):
+    (tmp_path / "bad.nt").write_text("not a triple\n", encoding="utf-8")
+    (tmp_path / "manifest.tsv").write_text("http://a/s\tFILE bad.nt\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="1 parse errors"):
+        load_fixture_documents(tmp_path)
+    (tmp_path / "manifest.tsv").write_text("http://a/s\tDELAY 5 THEN FILE gone.nt\n", encoding="utf-8")
+    with pytest.raises(TransportError):
+        load_fixture_documents(tmp_path)
+
+
+_WEB_IRIS = [f"http://h.example/{k}" for k in range(5)]
+_TERM = st.sampled_from(["<http://h.example/0>", "<http://h.example/3>", "_:b", "_:c", '"v"', '"w"@en'])
+_TRIPLE = st.builds("{} <http://h.example/p> {} .\n".format, _TERM.filter(lambda t: t[0] != '"'), _TERM)
+_BODY = st.builds("".join, st.lists(_TRIPLE, max_size=4))
+# Whitespace the resolver strips around a field; no tab before the IRI, which ends at the first tab.
+_LEAD = st.sampled_from(["", "", " ", "\u00a0", "\u3000", "\x0b", "\u2028", "\u0085"])
+_PAD = st.sampled_from(["", "", " ", "\t", "\u00a0", "\u3000", "\x0c", "\u2028", "\u0085", "\r"])
+_GAP = st.sampled_from([" ", " ", "  ", "\t", "\u00a0", "\u3000"])
+_ROW = st.one_of(
+    st.tuples(st.just("FILE"), st.sampled_from(_WEB_IRIS), _BODY, st.booleans()),
+    st.tuples(st.just("REDIRECT"), st.sampled_from(_WEB_IRIS), st.sampled_from(_WEB_IRIS), st.booleans()),
+    st.tuples(st.just("STATUS"), st.sampled_from(_WEB_IRIS), st.sampled_from(["200", "204", "301", "404", "500"]),
+              st.booleans()),
+    st.tuples(st.just("#"), st.sampled_from(["", "# c", "  # c", "\u00a0# c\tFILE d0.nt", " "]), st.none(),
+              st.none()),
+)
+
+
+@pytest.fixture(scope="module")
+def drawn_web(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_ROW, _LEAD, _PAD, _PAD, _GAP, _PAD), max_size=12))
+def test_the_oracle_holds_the_documents_a_run_is_handed(drawn_web, rows):
+    lines, iris = [], []
+    for n, ((kind, iri, arg, delayed), lead, before_tab, after_tab, gap, end) in enumerate(rows):
+        if kind == "#":
+            lines.append(iri)
+            continue
+        if kind == "FILE":
+            (drawn_web / f"d{n}.nt").write_text(arg, encoding="utf-8")
+            arg = f"d{n}.nt"
+        directive = f"{kind}{gap}{arg}"
+        if delayed:
+            directive = f"DELAY 0 THEN {directive}"
+        lines.append(f"{lead}{iri}{before_tab}\t{after_tab}{directive}{end}")
+        iris.append(iri)
+    manifest = drawn_web / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    docs = load_fixture_documents(drawn_web)
+    assert list(docs) == [i for i in dict.fromkeys(iris) if i in docs]
+    clock = FakeClock()
+    mgr = DereferenceManager(FixtureResolver(manifest, clock=clock), clock=clock)
+    for i in _WEB_IRIS:
+        got = mgr.dereference(Iri(i))
+        handed = got.status == DerefStatus.OK and got.final_iri == Iri(i)
+        assert handed == (i in docs), (i, got)
+        if handed:
+            assert list(got.document.triples) == docs[i]
