@@ -46,7 +46,7 @@ from .query import (
     parse_query,
     seed_iris,
 )
-from .rdf import BlankNode, Document, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
+from .rdf import BlankNode, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
 from .reasoner import EquivalenceClasses, ReasoningStore, rho_df_closure
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "DereferenceManager",
     "DerefResult",
     "DerefStatus",
-    "Document",
     "EngineOptions",
     "EquivalenceClasses",
     "FetchConfig",

@@ -21,36 +21,33 @@ new is reachable.  Six setups:
 Query relevance means: a seed constant, a value bound by the evaluator, or
 anything owl:sameAs-equivalent to one of those.
 
-The join state is exact at every step and keys each match by the view triple
-that made it; the speculative frontier reads those matches.  The join is a
-symmetric hash join over the plan's levels: each level's matches, and the
-partials of the level before, are indexed by the values of the variables the
-level's pattern shares with the patterns before it, and a triple is unified
-only with the patterns that carry its predicate or a variable predicate, so
-the work per triple does not grow with the join state.  When an
-owl:sameAs merge retires a representative, the store takes the view forms
+The join state, a symmetric hash join over the plan's levels
+(``IncrementalEvaluator``), is exact at every step and keys each match by the
+view triple that made it; the speculative frontier reads those matches.  When
+an owl:sameAs merge retires a representative, the store takes the view forms
 that mention it out and re-canonicalizes only the raw triples that touch a
-moved IRI; the evaluator drops those forms' matches and the partials that
-bind the retired IRI, from its maps and from the join indexes.  When a query
+moved IRI; the evaluator drops those forms' matches and the partials that bind
+the retired IRI, from its maps and from the join indexes.  When a query
 constant itself moved, or the merge moved rule vocabulary so that the store
 chained again, the evaluator starts over from the store's live view.  The
 running evaluator's solutions are therefore the answers, and the live view
 gives Inferred.  For a fixed fixture web and an untruncated run, the
 reachable-document closure is order-independent, which makes Results, HTTP,
-Retrieved, and Inferred deterministic whichever way the hops are served,
-since no want is withdrawn and a merge never reorders the plan.
+Retrieved, and Inferred deterministic whichever way the hops are served, since
+no want is withdrawn and a merge never reorders the plan.
 
-A resolver that never blocks (``may_block`` false: a fixture web without
-``DELAY``, a replay archive) has its hops served on the calling thread, one
-at a time in request order; a thread would only add interpreter-lock
-handoffs.  A resolver that can wait (live HTTP, a fixture web with ``DELAY``,
-or one that does not say) has its hops, and only them, performed on a pool
-of ``max_parallel`` workers so that their waits overlap; one driver loop
-takes them back, and processes their documents, in the order they complete.
-Either way a run lists one event per root, in the order the roots were
-taken from the frontier, so one worker on a web without ``REDIRECT`` lists
-the events of the calling thread, a root skipped under the lookup budget
-included.
+A ``Traversal`` holds a run's state and decisions; the driver loop of
+``execute`` performs the hops it wants, one of two ways.  A resolver that
+never blocks (``may_block`` false: a fixture web without ``DELAY``, a replay
+archive) has its hops served on the calling thread, one at a time in request
+order; a thread would only add interpreter-lock handoffs.  A resolver that can
+wait (live HTTP, a fixture web with ``DELAY``, or one that does not say) has
+its hops, and only them, performed on a pool of ``max_parallel`` workers so
+that their waits overlap; the same loop takes them back, and hands their
+documents to the ``Traversal``, in the order they complete.  Either way a run
+lists one event per root, in the order the roots were taken from the frontier,
+so one worker on a web without ``REDIRECT`` lists the events of the calling
+thread, a root skipped under the lookup budget included.
 
 The deadline bounds the run's wall time.  On the pool, once it passes, each
 waiting root's own chase ends it as skipped, the run is flagged truncated,
@@ -68,9 +65,10 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from queue import Empty, SimpleQueue
-from typing import Callable, Generator, Iterable, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 from .fetch import (
+    Clock,
     DerefResult,
     DerefStatus,
     DereferenceManager,
@@ -114,23 +112,12 @@ def uses_rhodf(setup: Setup) -> bool:
     return setup in (Setup.RHODF, Setup.COMBINED)
 
 
-def follows_seealso(setup: Setup) -> bool:
-    return setup in (Setup.SEEALSO, Setup.COMBINED)
-
-
 @dataclass(frozen=True, slots=True)
 class EngineOptions:
     """Switches for deliberate deviations from the default policies."""
 
     deref_predicates: bool = False
     extensions_on_select: bool = False
-
-    def carrier_is_speculative(self, setup: Setup) -> bool:
-        if setup == Setup.BASE:
-            return True
-        if setup in (Setup.SEEALSO, Setup.SAMEAS):
-            return not self.extensions_on_select
-        return False
 
 
 def unify_triple(pattern: TriplePattern, triple: Triple) -> dict[str, Term] | None:
@@ -428,96 +415,106 @@ class QueryRun:
         return tuple(ev.iri for ev in self.events if ev.status == DerefStatus.OK)
 
 
-def execute(
-    query: BgpQuery,
-    setup: Setup | str,
-    resolver: Resolver,
-    *,
-    config: FetchConfig | None = None,
-    options: EngineOptions | None = None,
-) -> QueryRun:
-    setup = Setup(setup)
-    opts = options or EngineOptions()
-    cfg = config or FetchConfig()
-    clk = RealClock()
-    store = ReasoningStore(use_sameas=uses_sameas(setup), use_rhodf=uses_rhodf(setup))
-    manager = DereferenceManager(resolver, cfg, clk)
-    speculative = opts.carrier_is_speculative(setup)
-    t0 = clk.now()
+class Traversal:
+    """One run's state and decisions, timed on the run's clock.
 
-    seeds = seed_iris(query)
-    canon_pats: list[TriplePattern] = [canonical_pattern(p, store.equiv) for p in query.patterns]
-    evaluator = IncrementalEvaluator(canon_pats)
+    It decides what the run wants and why, the order of the roots
+    (``roots``), relevance, and what each document adds (``take``).  A
+    driver decides only where and when each hop is performed and how long
+    to wait for one; the manager decides the budget, the deadline,
+    redirects and parsing.  The clock gives ``first_s``, each event's
+    ``t_s`` and ``time_s``.
+    """
 
-    requested: set[Iri] = set()
-    pending: deque[tuple[Iri, str]] = deque()
-    events: list[FetchEvent | None] = []  # one slot per root, in the order the roots left ``pending``
-    raw_order: list[Triple] = []
-    relevant: set[Term] = set()                # canonical forms of query-relevant IRIs
-    seealso_waiting: dict[Term, list[Iri]] = {}  # targets by canonical subject, until relevant
-    first_s: float | None = None
-    proj_vars = tuple(sorted(set(query.projected)))
+    def __init__(self, query: BgpQuery, setup: Setup, options: EngineOptions, clock: Clock) -> None:
+        self.query, self.setup, self.options = query, setup, options
+        self._clock = clock
+        self._t0 = clock.now()
+        self._sameas, self._rhodf = uses_sameas(setup), uses_rhodf(setup)
+        self._seealso = setup in (Setup.SEEALSO, Setup.COMBINED)
+        # A speculative carrier wants every IRI of a matching triple, the others only the IRIs bound.
+        self._speculative = setup == Setup.BASE or (
+            setup in (Setup.SEEALSO, Setup.SAMEAS) and not options.extensions_on_select)
+        self.store = ReasoningStore(use_sameas=self._sameas, use_rhodf=self._rhodf)
+        self._canon_pats = [canonical_pattern(p, self.store.equiv) for p in query.patterns]
+        self.evaluator = IncrementalEvaluator(self._canon_pats)
+        # Every IRI ever wanted, with its first reason.  The manager learns of a root only at its first
+        # hop, after it left ``_pending``, so without this a root wanted twice while it waits would get two events.
+        self._wanted: dict[Iri, str] = {}
+        self._pending: deque[Iri] = deque()
+        self._events: dict[Iri, FetchEvent | None] = {}  # by root, in the order the roots left ``_pending``
+        self._raw_order: list[Triple] = []
+        self._relevant: set[Term] = set()  # canonical forms of query-relevant IRIs
+        self._seealso_waiting: dict[Term, list[Iri]] = {}  # targets by canonical subject, until relevant
+        self._first_s: float | None = None
+        seeds = seed_iris(query)
+        for s in seeds.entities:
+            self.want(s, "seed")
+            self.mark_relevant(s)
+        if options.deref_predicates:
+            for p in seeds.predicates:
+                self.want(p, "seed")
+        if self._rhodf:
+            for p in seeds.predicates:
+                self.want(p, "vocab")
+            for c in type_class_constants(query):
+                self.want(c, "vocab")
 
-    def want(iri: Iri, reason: str) -> None:
-        if iri not in requested:
-            requested.add(iri)
-            pending.append((iri, reason))
+    def want(self, iri: Iri, reason: str) -> None:
+        if iri not in self._wanted:
+            self._wanted[iri] = reason
+            self._pending.append(iri)
 
-    def follow_links(canon: Term) -> None:
+    def roots(self) -> Iterator[Iri]:
+        """Each root to chase, until none waits; roots wanted meanwhile come too."""
+        while self._pending:
+            iri = self._pending.popleft()
+            self._events[iri] = None  # holds the root's place until ``take`` fills it
+            yield iri
+
+    def follow_links(self, canon: Term) -> None:
         """Request what hangs off a relevant canonical IRI."""
-        for target in seealso_waiting.pop(canon, ()):
-            want(target, "seealso")
-        if uses_sameas(setup):
-            for member in store.equiv.members(canon):
-                want(member, "sameas")
+        for target in self._seealso_waiting.pop(canon, ()):
+            self.want(target, "seealso")
+        if self._sameas:
+            for member in self.store.equiv.members(canon):
+                self.want(member, "sameas")
 
-    def mark_relevant(iri: Iri) -> None:
-        canon = store.equiv.rep(iri)
-        if canon not in relevant:
-            relevant.add(canon)
-            follow_links(canon)
+    def mark_relevant(self, iri: Iri) -> None:
+        canon = self.store.equiv.rep(iri)
+        if canon not in self._relevant:
+            self._relevant.add(canon)
+            self.follow_links(canon)
 
-    for s in seeds.entities:
-        want(s, "seed")
-        mark_relevant(s)
-    if opts.deref_predicates:
-        for p in seeds.predicates:
-            want(p, "seed")
-    if uses_rhodf(setup):
-        for p in seeds.predicates:
-            want(p, "vocab")
-        for c in type_class_constants(query):
-            want(c, "vocab")
-
-    def scan_speculative(triples: Iterable[Triple]) -> None:
+    def scan_speculative(self, triples: Iterable[Triple]) -> None:
         """Request the subject and object IRIs of raw triples that matched."""
         for t in triples:
             if isinstance(t.subject, Iri):
-                want(t.subject, "match")
+                self.want(t.subject, "match")
             if isinstance(t.object, Iri):
-                want(t.object, "match")
-            if opts.deref_predicates:
-                want(t.predicate, "match")
+                self.want(t.object, "match")
+            if self.options.deref_predicates:
+                self.want(t.predicate, "match")
 
-    def consume_eval(delta: EvalDelta) -> None:
-        nonlocal first_s
+    def consume_eval(self, delta: EvalDelta) -> None:
         for val, kind in delta.values:
             if not isinstance(val, Iri):
                 continue
-            if not speculative and (kind == "so" or (kind == "pred" and opts.deref_predicates)):
-                want(val, "binding")
-            mark_relevant(val)
-        if uses_rhodf(setup):
+            if not self._speculative and (kind == "so" or (kind == "pred" and self.options.deref_predicates)):
+                self.want(val, "binding")
+            self.mark_relevant(val)
+        if self._rhodf:
             for mt in delta.matched:
-                want(mt.predicate, "vocab")
+                self.want(mt.predicate, "vocab")
                 if mt.predicate == RDF_TYPE and isinstance(mt.object, Iri):
-                    want(mt.object, "vocab")
-        if delta.solutions and first_s is None:
-            first_s = clk.now() - t0
+                    self.want(mt.object, "vocab")
+        if delta.solutions and self._first_s is None:
+            self._first_s = self._clock.now() - self._t0
 
-    def process_doc(doc) -> None:
-        delta = store.ingest(doc.triples)
-        raw_order.extend(delta.fresh)
+    def process_doc(self, triples: Iterable[Triple]) -> None:
+        store, evaluator, canon_pats = self.store, self.evaluator, self._canon_pats
+        delta = store.ingest(triples)
+        self._raw_order.extend(delta.fresh)
         replanned = False
         evals = []
         if delta.retired:
@@ -528,7 +525,7 @@ def execute(
             if delta.rechained or any(t in delta.retired for p in canon_pats for t in p.terms()):
                 # A query constant moved, or the store dropped chained facts
                 # that mention no retired term: rebuild from the live view.
-                canon_pats[:] = [canonical_pattern(p, store.equiv) for p in query.patterns]
+                canon_pats[:] = [canonical_pattern(p, store.equiv) for p in self.query.patterns]
                 replanned = True
                 evals.append(evaluator.replan(canon_pats, store.view()))
         added = evaluator.add(delta)
@@ -537,116 +534,119 @@ def execute(
         # It reads the raw triples whose forms may have changed: all of them
         # after a replan, else the re-keyed and the fresh ones, whose forms the
         # store computed once, in ``delta.forms``.  No setup with rules
-        # speculates (``carrier_is_speculative``), so a store without
-        # owl:sameAs has the fresh triples as its view delta, and the matched
-        # ones are exactly those the evaluator just reported.
-        if speculative:
+        # speculates (``_speculative``), so a store without owl:sameAs has the
+        # fresh triples as its view delta, and the matched ones are exactly
+        # those the evaluator just reported.
+        if self._speculative:
             if replanned:
-                scan_speculative(t for t in raw_order if evaluator.matches(canonical_triple(t, store.equiv)))
-            elif store.use_sameas:
+                self.scan_speculative(t for t in self._raw_order if evaluator.matches(canonical_triple(t, store.equiv)))
+            elif self._sameas:
                 pairs = zip(delta.rekeyed + delta.fresh, delta.forms)
-                scan_speculative(t for t, form in pairs if evaluator.matches(form))
+                self.scan_speculative(t for t, form in pairs if evaluator.matches(form))
             else:
-                scan_speculative(added.matched)
+                self.scan_speculative(added.matched)
         for ev in evals:
-            consume_eval(ev)
-        if follows_seealso(setup):
+            self.consume_eval(ev)
+        relevant, waiting = self._relevant, self._seealso_waiting
+        if self._seealso:
             for t in delta.fresh:
                 if t.predicate == RDFS_SEEALSO and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
                     canon = store.equiv.rep(t.subject)
                     if canon in relevant:
-                        want(t.object, "seealso")
+                        self.want(t.object, "seealso")
                     else:
-                        seealso_waiting.setdefault(canon, []).append(t.object)
+                        waiting.setdefault(canon, []).append(t.object)
         for old in delta.retired:
             # The retired IRI's links and relevance pass to its representative.
             canon = store.equiv.rep(old)
-            if old in seealso_waiting:
-                seealso_waiting.setdefault(canon, []).extend(seealso_waiting.pop(old))
+            if old in waiting:
+                waiting.setdefault(canon, []).extend(waiting.pop(old))
             if old in relevant or canon in relevant:
                 relevant.discard(old)
                 relevant.add(canon)
-                follow_links(canon)
+                self.follow_links(canon)
 
-    def take(slot: int, iri: Iri, reason: str, res: DerefResult) -> None:
-        """Record a root's outcome in its event slot and process its document."""
-        events[slot] = FetchEvent(
-            iri=iri,
-            reason=reason,
-            status=res.status,
-            http_status=res.http_status,
-            triples=len(res.document.triples) if res.document else 0,
-            t_s=clk.now() - t0,
-            elapsed_s=res.elapsed_s,
+    def take(self, res: DerefResult) -> None:
+        """Record a root's outcome in its place among the events and process its document."""
+        self._events[res.iri] = FetchEvent(
+            iri=res.iri, reason=self._wanted[res.iri], status=res.status, http_status=res.http_status,
+            triples=len(res.triples), t_s=self._clock.now() - self._t0, elapsed_s=res.elapsed_s)
+        if res.status == DerefStatus.OK:
+            self.process_doc(res.triples)
+
+    def result(self, http_lookups: int) -> QueryRun:
+        final = self.store.finalize()
+        proj_vars = tuple(sorted(set(self.query.projected)))
+        by_key: dict[str, Binding] = {}
+        for sol in self.evaluator.solutions():
+            b = Binding.of({v: sol[v] for v in proj_vars})
+            by_key.setdefault(b.key(), b)
+        answers = tuple(b for _, b in sorted(by_key.items()))
+        events = tuple(self._events.values())
+        metrics = QueryMetrics(
+            results=len(answers),
+            time_s=self._clock.now() - self._t0,
+            first_s=self._first_s,
+            http_lookups=http_lookups,
+            retrieved_triples=sum(ev.triples for ev in events if ev.status == DerefStatus.OK),
+            inferred_triples=final.inferred_count,
+            truncated=any(ev.status in (DerefStatus.SKIPPED, DerefStatus.TIMED_OUT) for ev in events),  # a limit fired
         )
-        if res.status == DerefStatus.OK and res.document is not None:
-            process_doc(res.document)
+        return QueryRun(query=self.query, setup=self.setup, options=self.options, answers=answers,
+                        metrics=metrics, events=events, final=final, equiv=self.store.equiv)
 
+
+def execute(
+    query: BgpQuery,
+    setup: Setup | str,
+    resolver: Resolver,
+    *,
+    config: FetchConfig | None = None,
+    options: EngineOptions | None = None,
+) -> QueryRun:
+    """Run ``query`` under ``setup``: the driver loop performs the hops a ``Traversal`` wants."""
+    cfg = config or FetchConfig()
+    clk = RealClock()
+    manager = DereferenceManager(resolver, cfg, clk)
+    run = Traversal(query, Setup(setup), options or EngineOptions(), clk)
     # Not a ``with`` block: joining the pool would wait out fetches past the deadline.
     pool = ThreadPoolExecutor(max_workers=cfg.max_parallel) if getattr(resolver, "may_block", True) else None
-    parked: dict[str, tuple[Future, list[tuple[int, Iri, str, Generator]]]] = {}  # hop out -> its future, waiting roots
+    parked: dict[str, tuple[Future, list[Generator]]] = {}  # hop out -> its future, the chases waiting on it
     done: SimpleQueue[str] = SimpleQueue()  # hops out, put here as they complete
 
-    def step(slot: int, iri: Iri, reason: str, chase: Generator, outcome: object) -> None:
+    def step(chase: Generator, outcome: object) -> None:
         """Send a root's chase a hop outcome; park it on its next hop, or take its result."""
         try:
             hop = chase.send(outcome)
         except StopIteration as stop:
-            take(slot, iri, reason, stop.value)
+            run.take(stop.value)
             return
         if hop not in parked:
             fut = pool.submit(manager.request, hop)
             fut.add_done_callback(lambda _: done.put(hop))
             parked[hop] = (fut, [])
-        parked[hop][1].append((slot, iri, reason, chase))
+        parked[hop][1].append(chase)
 
     try:
         while True:
-            while pending:
-                iri, reason = pending.popleft()
-                events.append(None)
+            for iri in run.roots():
                 if pool is None:  # the manager skips every hop started after the deadline
-                    take(len(events) - 1, iri, reason, manager.dereference(iri))
+                    run.take(manager.dereference(iri))
                 else:
-                    step(len(events) - 1, iri, reason, manager.chase(iri), None)
+                    step(manager.chase(iri), None)
             if not parked:
                 break
             try:
                 hop = wait(done, timeout=max(0.0, manager.deadline - clk.now()))
             except Empty:  # the deadline passed: a hop cancelled unstarted was never looked up
-                manager.lookups_used -= sum(fut.cancel() for fut, _ in parked.values())
-                for slot, iri, reason, chase in (root for _, roots in parked.values() for root in roots):
-                    step(slot, iri, reason, chase, None)  # sent no outcome, the chase skips its root
+                manager.refund(sum(fut.cancel() for fut, _ in parked.values()))
+                for chase in (chase for _, chases in parked.values() for chase in chases):
+                    step(chase, None)  # sent no outcome, the chase skips its root
                 break
-            fut, roots = parked.pop(hop)
-            for slot, iri, reason, chase in roots:
-                step(slot, iri, reason, chase, fut.result())
+            fut, chases = parked.pop(hop)
+            for chase in chases:
+                step(chase, fut.result())
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    final = store.finalize()
-    by_key: dict[str, Binding] = {}
-    for sol in evaluator.solutions():
-        b = Binding.of({v: sol[v] for v in proj_vars})
-        by_key.setdefault(b.key(), b)
-    answers = tuple(b for _, b in sorted(by_key.items()))
-    metrics = QueryMetrics(
-        results=len(answers),
-        time_s=clk.now() - t0,
-        first_s=first_s,
-        http_lookups=manager.lookups_used,
-        retrieved_triples=sum(ev.triples for ev in events if ev.status == DerefStatus.OK),
-        inferred_triples=final.inferred_count,
-        truncated=any(ev.status in (DerefStatus.SKIPPED, DerefStatus.TIMED_OUT) for ev in events),  # a limit fired
-    )
-    return QueryRun(
-        query=query,
-        setup=setup,
-        options=opts,
-        answers=answers,
-        metrics=metrics,
-        events=tuple(events),
-        final=final,
-        equiv=store.equiv,
-    )
+    return run.result(manager.lookups_used)

@@ -5,7 +5,9 @@ redirects itself; ``DereferenceManager`` drives the hop loop and owns every
 cross-cutting policy (lookup budget, wall-clock deadline, per-host
 politeness).  It decides the budget, the deadline and redirects on the
 thread that drives it, and looks each hop IRI up at most once per run; only
-``request``, which performs one hop, may run on a pool worker.  Politeness
+``request``, which performs one hop, may run on a pool worker.  It reserves
+a lookup at a hop's first yield and refunds those of hops a driver cancelled
+before they started (``refund``); nothing else writes the count.  Politeness
 is decided there, in ``request``: for a remote host, the worker holds that
 host's lock over the hop, and sleeps under it until ``politeness_delay_ms``
 has passed since the host's last hop started, so one host has one hop out
@@ -57,7 +59,7 @@ from typing import BinaryIO, Generator, Iterator, Protocol
 from urllib.parse import urljoin, urlsplit
 
 from . import rdf
-from .rdf import Document, Iri
+from .rdf import Iri, Triple
 
 log = logging.getLogger(__name__)
 
@@ -434,7 +436,7 @@ class DerefResult:
 
     iri: Iri
     status: DerefStatus
-    document: Document | None = None
+    triples: tuple[Triple, ...] = ()  # the document's, when the status is ``OK``
     http_status: int | None = None
     final_iri: Iri | None = None
     hops: int = 0
@@ -610,8 +612,11 @@ class DereferenceManager:
                     http_status=resp.status,
                     detail=f"{len(errors)} parse errors, no triples",
                 )
-            doc = Document(iri=root.value, triples=tuple(triples))
-            return done(DerefStatus.OK, document=doc, http_status=resp.status, final_iri=here)
+            return done(DerefStatus.OK, triples=triples, http_status=resp.status, final_iri=here)
+
+    def refund(self, hops: int) -> None:
+        """Give back the lookups of ``hops`` hops that were cancelled before they started."""
+        self.lookups_used -= hops
 
     def request(self, iri: str) -> RawResponse:
         """Perform one hop with ``perform``, after the politeness delay of a remote host."""

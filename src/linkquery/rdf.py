@@ -197,14 +197,6 @@ class Triple(tuple):
 
 
 @dataclass(frozen=True, slots=True)
-class Document:
-    """A fetched document: the IRI it was requested under and its triples."""
-
-    iri: str
-    triples: tuple[Triple, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class ParseError:
     line: int
     reason: str

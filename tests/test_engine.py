@@ -22,6 +22,7 @@ from linkquery.engine import (
 )
 from linkquery.fetch import (
     DerefStatus,
+    FakeClock,
     FetchConfig,
     FixtureResolver,
     HopTimeout,
@@ -951,6 +952,38 @@ def test_deadline_bounds_wall_time_on_the_calling_thread():
     assert [e.iri for e in run.events] == [I(f"n{i}") for i in range(10)]
     assert 1 <= served == len(calls) < 10
     assert statuses == [DerefStatus.OK] * served + [DerefStatus.SKIPPED] * (10 - served)
+
+
+def test_a_run_on_a_fake_clock_meets_its_deadline_exactly(write_web, monkeypatch):
+    # n0 links to n1..n5, and each hop takes one fake second: the deadline at 2.5 s lets three roots in.
+    manifest = write_web({f"{NS}n{i}": nt(*((iri(f"n{i}"), iri("p1"), iri(f"n{j}")) for j in range(i + 1, 6)))
+                          for i in range(6)})
+    clock = FakeClock()
+    monkeypatch.setattr(engine, "RealClock", lambda: clock)
+
+    class Slow:
+        is_local = True
+        may_block = False
+
+        def __init__(self, inner):
+            self._inner = inner
+
+        def resolve(self, hop, timeout_s):
+            clock.advance(1.0)
+            return self._inner.resolve(hop, timeout_s)
+
+    run = execute(
+        q(f"SELECT ?x WHERE {{ {iri('n0')} {iri('p1')} ?x . }}"),
+        Setup.BASE,
+        Slow(FixtureResolver(manifest)),
+        config=FetchConfig(deadline_ms=2500),
+    )
+    assert [(e.iri, e.status) for e in run.events] == [
+        (I(f"n{i}"), DerefStatus.OK if i < 3 else DerefStatus.SKIPPED) for i in range(6)]
+    assert run.metrics.truncated is True
+    assert run.metrics.http_lookups == 3
+    assert [e.t_s for e in run.events] == [1.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+    assert run.metrics.first_s == 1.0 and run.metrics.time_s == 3.0
 
 
 def test_politeness_on_the_pool_serves_one_hop_per_host_at_a_time():

@@ -137,7 +137,7 @@ def test_a_manifest_line_ends_at_a_newline_only(tmp_path, char):
     r = FixtureResolver(tmp_path)
     assert len(r) == 2 and r.resolve(A, 1.0).status == 410
     got = manager(r).dereference(Iri(iri))
-    assert got.status == DerefStatus.OK and got.document.triples[0].subject == iri
+    assert got.status == DerefStatus.OK and got.triples[0].subject == iri
 
 
 def _reference_manifest(text, base):
@@ -232,15 +232,15 @@ def test_ok_document(write_web):
     result = manager(FixtureResolver(write_web({A: NT}))).dereference(Iri(A))
     assert result.status == DerefStatus.OK
     assert result.http_status == 200
-    assert len(result.document.triples) == 1
-    assert result.document.iri == A
+    assert len(result.triples) == 1
+    assert result.iri == A
     assert result.final_iri == Iri(A)
 
 
 def test_empty_body_is_ok_with_zero_triples(write_web):
     result = manager(FixtureResolver(write_web({A: ""}))).dereference(Iri(A))
     assert result.status == DerefStatus.OK
-    assert result.document.triples == ()
+    assert result.triples == ()
 
 
 def test_parse_failure_needs_nonempty_garbage(write_web):
@@ -251,7 +251,7 @@ def test_parse_failure_needs_nonempty_garbage(write_web):
 def test_partial_garbage_still_parses(write_web):
     result = manager(FixtureResolver(write_web({A: NT + "junk line\n"}))).dereference(Iri(A))
     assert result.status == DerefStatus.OK
-    assert len(result.document.triples) == 1
+    assert len(result.triples) == 1
 
 
 def test_http_error(write_web):
@@ -393,11 +393,11 @@ def test_chase_yields_each_hop_until_its_outcome_is_known(write_web):
 def test_documents_of_one_run_share_their_iris(write_web):
     web = write_web({A: NT, B: "<http://w.example/b> <http://w.example/p> <http://w.example/o2> .\n"})
     first = manager(FixtureResolver(web))
-    a, b = (first.dereference(Iri(x)).document.triples[0] for x in (A, B))
+    a, b = (first.dereference(Iri(x)).triples[0] for x in (A, B))
     assert a.predicate == b.predicate and a.predicate is b.predicate
     # Once the parses are forgotten, the table starts empty: equal IRIs, other objects.
     fetch.forget_parses()
-    again = manager(FixtureResolver(web)).dereference(Iri(A)).document.triples[0]
+    again = manager(FixtureResolver(web)).dereference(Iri(A)).triples[0]
     assert again == a and all(x is not y for x, y in zip(again, a))
 
 
@@ -406,7 +406,7 @@ def test_a_cache_hit_and_a_miss_in_one_run_share_their_iris(write_web):
     resolver = FixtureResolver(web)
     manager(resolver).dereference(Iri(A))  # an earlier run leaves A parsed
     m = manager(resolver)
-    hit, miss = (m.dereference(Iri(x)).document.triples[0] for x in (A, B))
+    hit, miss = (m.dereference(Iri(x)).triples[0] for x in (A, B))
     assert hit.predicate is miss.predicate
 
 
@@ -423,7 +423,7 @@ def test_the_iri_table_never_outgrows_its_bound(monkeypatch):
     m = manager(Served(bodies))
     sizes = []
     for iri, body in bodies.items():
-        assert m.dereference(Iri(iri)).document.triples == tuple(parse_ntriples(body, iri)[0])
+        assert m.dereference(Iri(iri)).triples == tuple(parse_ntriples(body, iri)[0])
         sizes.append(len(fetch._IRIS))
     # Each document names two new IRIs; the fifth takes the table past 10, which empties it.
     assert sizes[:6] == [3, 5, 7, 9, 0, 3]
@@ -466,7 +466,7 @@ def test_a_body_served_again_on_one_resolver_is_parsed_once(write_web, monkeypat
     runs = [manager(resolver) for _ in range(2)]
     first, again = (m.dereference(Iri(A)) for m in runs)
     assert parses == [A]
-    assert again.document.triples is first.document.triples  # the cached tuple, not a copy
+    assert again.triples is first.triples  # the cached tuple, not a copy
     assert [m.lookups_used for m in runs] == [1, 1]  # the warm run still looks the body up
 
 
@@ -475,7 +475,7 @@ def test_two_resolvers_serving_one_body_parse_it_once(write_web, monkeypatch):
     first = manager(FixtureResolver(write_web({A: NT}))).dereference(Iri(A))
     again = manager(Served({A: NT.encode()})).dereference(Iri(A))
     assert parses == [A]
-    assert again.document.triples is first.document.triples
+    assert again.triples is first.triples
 
 
 def test_runs_on_many_resolvers_keep_one_budget(monkeypatch):
@@ -496,7 +496,7 @@ def test_a_wrapper_of_fetch_parse_sees_hits_too(write_web, monkeypatch):
     parses, calls = counted_parses(monkeypatch), counted_parses(monkeypatch, fetch)
     for _ in range(2):
         m = manager(resolver)
-        assert [len(m.dereference(Iri(x)).document.triples) for x in (A, B)] == [1, 1]
+        assert [len(m.dereference(Iri(x)).triples) for x in (A, B)] == [1, 1]
     assert (parses, calls) == ([A, B], [A, B, A, B])
     fetch.forget_parses()
     manager(resolver).dereference(Iri(A))
@@ -507,11 +507,11 @@ def test_a_body_rewritten_between_runs_is_parsed_again(write_web, monkeypatch):
     web = write_web({A: NT})
     parses = counted_parses(monkeypatch)
     resolver = FixtureResolver(web)
-    assert manager(resolver).dereference(Iri(A)).document.triples[0].object == "http://w.example/o"
+    assert manager(resolver).dereference(Iri(A)).triples[0].object == "http://w.example/o"
     (web.parent / "doc000.nt").write_text(NT.replace("/o>", "/o2>"), encoding="utf-8")
     again = manager(resolver).dereference(Iri(A))
     assert parses == [A, A]
-    assert [t.object for t in again.document.triples] == ["http://w.example/o2"]
+    assert [t.object for t in again.triples] == ["http://w.example/o2"]
 
 
 def test_one_body_under_two_scopes_gets_blank_nodes_of_each(write_web):
@@ -519,7 +519,7 @@ def test_one_body_under_two_scopes_gets_blank_nodes_of_each(write_web):
     resolver = FixtureResolver(write_web({A: body, B: body}))
     for _ in range(2):  # cold, then warm
         m = manager(resolver)
-        a, b = (m.dereference(Iri(x)).document.triples[0] for x in (A, B))
+        a, b = (m.dereference(Iri(x)).triples[0] for x in (A, B))
         assert a.subject.label == b.subject.label == "b"
         assert (a.subject.scope, a.object.scope, b.subject.scope, b.object.scope) == (A, A, B, B)
         assert a != b
@@ -620,7 +620,7 @@ def test_every_cache_hit_equals_a_fresh_parse(budget, lookups):
                 assert got.status == DerefStatus.PARSE_FAILURE
                 assert got.detail == f"{len(errors)} parse errors, no triples"
             else:
-                assert got.status == DerefStatus.OK and got.document.triples == tuple(triples)
+                assert got.status == DerefStatus.OK and got.triples == tuple(triples)
             cache = fetch._PARSED
             assert cache.size == sum(len(b) for b, _ in cache.docs) <= budget
 
@@ -744,7 +744,7 @@ def test_replay_reproduces_each_recorded_outcome(write_web, tmp_path, directive)
     with RecordResolver(FixtureResolver(manifest), tape) as recorder:
         recorded = manager(recorder, timeout_ms=50).dereference(Iri(A))
     replayed = manager(ReplayResolver(tape), timeout_ms=50).dereference(Iri(A))
-    fields = ("status", "http_status", "final_iri", "hops", "detail", "document")
+    fields = ("status", "http_status", "final_iri", "hops", "detail", "triples")
     assert [getattr(replayed, f) for f in fields] == [getattr(recorded, f) for f in fields]
 
 

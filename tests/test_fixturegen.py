@@ -336,4 +336,4 @@ def test_the_oracle_holds_the_documents_a_run_is_handed(drawn_web, rows):
         handed = got.status == DerefStatus.OK and got.final_iri == Iri(i)
         assert handed == (i in docs), (i, got)
         if handed:
-            assert list(got.document.triples) == docs[i]
+            assert list(got.triples) == docs[i]
